@@ -1,12 +1,14 @@
 // MICRO — google-benchmark microbenchmarks of the substrate: event
-// scheduler throughput, wire-format serialize/parse rates, checksum,
-// routing recomputation and a full Figure-1 simulated second. These bound
-// how large the scenario sweeps can go.
+// scheduler throughput, wire-format serialize/parse rates, checksum, RIB
+// lookup and routing recomputation at 1024 routers, and a full Figure-1
+// simulated second. These bound how large the scenario sweeps can go.
 #include <benchmark/benchmark.h>
 
 #include "core/figure1.hpp"
+#include "core/random_topology.hpp"
 #include "core/traffic.hpp"
 #include "ipv6/datagram.hpp"
+#include "ipv6/routing.hpp"
 #include "mipv6/messages.hpp"
 #include "pimdm/messages.hpp"
 #include "sim/scheduler.hpp"
@@ -97,13 +99,39 @@ void BM_PimJoinPruneRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_PimJoinPruneRoundTrip);
 
-void BM_GlobalRoutingRecompute(benchmark::State& state) {
-  Figure1 f = build_figure1();
+void BM_RibLookup(benchmark::State& state) {
+  // A router's RIB in the 1024-router world: one /64 per link, prefixes
+  // numbered as World::add_link numbers them.
+  constexpr int kRoutes = 2303;
+  Rib rib;
+  std::vector<Address> dsts;
+  for (int i = 1; i <= kRoutes; ++i) {
+    Prefix p = Prefix::parse("2001:db8:" + std::to_string(i) + "::/64");
+    rib.add(Route{p, static_cast<IfaceId>(i % 32), Address(), 1});
+    dsts.push_back(Address::from_prefix_iid(p.network(), 0x42));
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    f.world->routing().recompute();
+    benchmark::DoNotOptimize(rib.lookup(dsts[i]));
+    i = (i + 97) % dsts.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RibLookup);
+
+void BM_GlobalRoutingRecompute(benchmark::State& state) {
+  // The flood-1k benchmark graph: 1024 routers, 2303 links.
+  RandomTopologyParams params;
+  params.routers = 1024;
+  params.max_fanout = 32;
+  params.extra_links = 256;
+  RandomTopology t = build_random_topology(params);
+  t.world->finalize();
+  for (auto _ : state) {
+    t.world->routing().recompute();
   }
 }
-BENCHMARK(BM_GlobalRoutingRecompute);
+BENCHMARK(BM_GlobalRoutingRecompute)->Unit(benchmark::kMillisecond);
 
 void BM_Figure1SimulatedSecond(benchmark::State& state) {
   // Full-stack cost: one simulated second of the Figure 1 scenario at

@@ -87,6 +87,15 @@ Address Address::from_prefix_iid(const Address& prefix_bits,
   return a;
 }
 
+Address Address::from_halves(std::uint64_t high, std::uint64_t low) {
+  Address a;
+  for (int i = 0; i < 8; ++i) {
+    a.b_[i] = static_cast<std::uint8_t>(high >> (8 * (7 - i)));
+    a.b_[8 + i] = static_cast<std::uint8_t>(low >> (8 * (7 - i)));
+  }
+  return a;
+}
+
 // Parsed once: these sit on per-packet paths (e.g. the local-delivery check
 // against ff02::1), where re-parsing the literal showed up in profiles.
 Address Address::all_nodes() {

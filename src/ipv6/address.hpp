@@ -28,6 +28,8 @@ class Address {
   /// Prefix (high 64 bits of `prefix_bits`) + interface identifier.
   static Address from_prefix_iid(const Address& prefix_bits,
                                  std::uint64_t iid);
+  /// The inverse of high64()/low64().
+  static Address from_halves(std::uint64_t high, std::uint64_t low);
 
   // Well-known addresses.
   static Address all_nodes();         // ff02::1

@@ -8,7 +8,6 @@
 // checks and Assert comparisons.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "ipv6/stack.hpp"
@@ -44,16 +43,12 @@ class GlobalRouting {
                                          const std::vector<LinkId>& leaves) const;
 
  private:
-  struct HopInfo {
-    std::uint32_t dist;
-    IfaceId out_iface;
-    Address next_hop;  // unspecified = on-link
+  struct LinkHop {
+    int dist;       // links crossed from the root; negative = unreachable
+    LinkId parent;  // previous link on the path (the root's is itself)
   };
-  /// BFS from destination link `dst` over forwarding stacks; fills
-  /// per-router HopInfo.
-  std::map<Ipv6Stack*, HopInfo> bfs_from_link(LinkId dst) const;
-  /// BFS over links only (for distance/tree queries).
-  std::map<LinkId, std::pair<int, LinkId>> link_bfs(LinkId root) const;
+  /// BFS over links only (for distance/tree queries), indexed by LinkId.
+  std::vector<LinkHop> link_bfs(LinkId root) const;
 
   Network* net_;
   AddressingPlan* plan_;

@@ -28,12 +28,16 @@ struct Route {
 
 class Rib {
  public:
+  /// Routes with an equal prefix keep their insertion order. O(1) when the
+  /// route sorts last, as GlobalRouting's ascending link prefixes do.
   void add(Route route);
   /// Removes all routes with exactly this prefix.
   void remove_prefix(const Prefix& prefix);
   void clear();
 
-  /// Longest-prefix match; ties broken by lowest metric. nullptr = no route.
+  /// Longest-prefix match; ties broken by lowest metric, then by the route
+  /// added first. nullptr = no route. Any change to the RIB invalidates the
+  /// returned pointer.
   const Route* lookup(const Address& dst) const;
 
   /// Sets/replaces the default route (::/0).
@@ -41,11 +45,13 @@ class Rib {
                    std::uint32_t metric = 16);
 
   std::size_t size() const { return routes_.size(); }
-  const std::vector<Route>& routes() const { return routes_; }
 
+  /// One line per route, longest prefix first.
   std::string str() const;
 
  private:
+  /// Sorted by prefix length (longest first), then by network, so each
+  /// length is one binary-searchable run.
   std::vector<Route> routes_;
 };
 

@@ -77,6 +77,13 @@ TEST(Address, FromPrefixIid) {
   EXPECT_EQ(a.low64(), 0x42u);
 }
 
+TEST(Address, FromHalvesInvertsHighLow) {
+  Address a = Address::parse("2001:db8:7:8:9:a:b:c");
+  EXPECT_EQ(Address::from_halves(a.high64(), a.low64()), a);
+  EXPECT_EQ(Address::from_halves(0x20010db800000000ULL, 0x1ULL).str(),
+            "2001:db8::1");
+}
+
 TEST(Address, SerializeRoundTrip) {
   Address a = Address::parse("2001:db8::abcd");
   BufferWriter w;
