@@ -8,11 +8,13 @@ namespace mip6 {
 McastMetrics::McastMetrics(Network& net, GlobalRouting& routing, Address group,
                            std::uint16_t data_port)
     : net_(&net), routing_(&routing), group_(group), data_port_(data_port) {
-  net.add_tx_hook(
+  tx_hook_ = net.add_tx_hook(
       [this](const Link& link, const Interface&, const Packet& pkt) {
         on_tx(link, pkt);
       });
 }
+
+McastMetrics::~McastMetrics() { net_->remove_tx_hook(tx_hook_); }
 
 void McastMetrics::update_reference_tree(
     LinkId source_link, const std::vector<LinkId>& member_links) {

@@ -28,6 +28,11 @@ class McastMetrics {
   /// Starts observing `net` for UDP datagrams to `group` on `data_port`.
   McastMetrics(Network& net, GlobalRouting& routing, Address group,
                std::uint16_t data_port);
+  /// Stops observing: owners destroy the metrics before the world, whose
+  /// teardown still transmits.
+  ~McastMetrics();
+  McastMetrics(const McastMetrics&) = delete;
+  McastMetrics& operator=(const McastMetrics&) = delete;
 
   /// Declares the current source link and member links; called by the
   /// scenario whenever membership or positions change. The optimal tree is
@@ -76,6 +81,7 @@ class McastMetrics {
   // post-run assertions), same contract as the Link counters.
   mutable std::mutex mu_;
   Network* net_;
+  Network::TxHookId tx_hook_;
   GlobalRouting* routing_;
   Address group_;
   std::uint16_t data_port_;

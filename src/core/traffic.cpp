@@ -1,5 +1,7 @@
 #include "core/traffic.hpp"
 
+#include <algorithm>
+
 namespace mip6 {
 
 Bytes CbrPayload::encode(std::size_t total_size) const {
@@ -66,10 +68,12 @@ void GroupReceiverApp::on_udp(const ParsedDatagram& d, IfaceId iface) {
   } catch (const ParseError&) {
     return;
   }
-  if (!seen_.insert(p.seq).second) {
+  auto it = std::lower_bound(seen_.begin(), seen_.end(), p.seq);
+  if (it != seen_.end() && *it == p.seq) {
     ++duplicates_;
     return;
   }
+  seen_.insert(it, p.seq);
   log_.push_back(Rx{p.seq, p.sent_at, sched_->now()});
 }
 

@@ -472,7 +472,7 @@ void HpimDmRouter::on_multicast_data(const ParsedDatagram& d,
       c_mfc_hit_.add();
       c_mfc_shard_hit_[rpf].add();
       auto* entry = static_cast<SgEntry*>(m->state);
-      entry->entry_timer->arm(config_.data_timeout);
+      entry->entry_timer->extend(config_.data_timeout);
       c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
       return;
     }
@@ -520,7 +520,7 @@ void HpimDmRouter::on_multicast_data(const ParsedDatagram& d,
     return;
   }
 
-  e->entry_timer->arm(config_.data_timeout);
+  e->entry_timer->extend(config_.data_timeout);
   if (config_.mfc) {
     if (MfcEntry* m = refill_mfc(*e)) {
       c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));

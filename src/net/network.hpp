@@ -72,12 +72,21 @@ class Network {
   Packet make_packet(Packet::Buffer data);
 
   /// Observation hook invoked for every link transmission (after the link's
-  /// own byte accounting). Core metrics classify traffic here.
+  /// own byte accounting). Core metrics classify traffic here. An observer
+  /// that dies before the Network removes its hook with the returned id:
+  /// world teardown still transmits (strategy deactivation).
   using TxHook = std::function<void(const Link&, const Interface& from,
                                     const Packet&)>;
-  void add_tx_hook(TxHook hook) { tx_hooks_.push_back(std::move(hook)); }
+  using TxHookId = std::size_t;
+  TxHookId add_tx_hook(TxHook hook) {
+    tx_hooks_.push_back(std::move(hook));
+    return tx_hooks_.size() - 1;
+  }
+  void remove_tx_hook(TxHookId id) { tx_hooks_.at(id) = nullptr; }
   void notify_tx(const Link& link, const Interface& from, const Packet& pkt) {
-    for (auto& h : tx_hooks_) h(link, from, pkt);
+    for (auto& h : tx_hooks_) {
+      if (h) h(link, from, pkt);
+    }
   }
 
   IfaceId next_iface_id() { return next_iface_id_++; }

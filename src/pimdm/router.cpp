@@ -422,7 +422,7 @@ void PimDmRouter::on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
       c_mfc_hit_.add();
       c_mfc_shard_hit_[rpf].add();
       auto* e = static_cast<SgEntry*>(m->state);
-      e->entry_timer->arm(config_.data_timeout);
+      e->entry_timer->extend(config_.data_timeout);
       c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
       return;
     }
@@ -489,7 +489,7 @@ void PimDmRouter::on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
     return;
   }
 
-  e->entry_timer->arm(config_.data_timeout);
+  e->entry_timer->extend(config_.data_timeout);
   if (config_.mfc) {
     // Miss path: recompute the bitmap once, install it, forward. The next
     // packet of this flow hits the cache until a control-plane transition
@@ -899,7 +899,7 @@ void PimDmRouter::on_state_refresh(const PimStateRefresh& sr, IfaceId iface) {
     return;
   }
   // The wave attests that the source is alive: refresh the (S,G) entry.
-  e->entry_timer->arm(config_.data_timeout);
+  e->entry_timer->extend(config_.data_timeout);
   // A router that pruned itself off re-advertises its prune so the
   // upstream holdtime is refreshed instead of expiring into a re-flood.
   if (e->upstream_pruned && !e->rpf_neighbor.is_unspecified()) {

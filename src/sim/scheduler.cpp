@@ -272,6 +272,13 @@ EventHandle Scheduler::schedule_in(Time delay, SchedFn fn, Domain exec) {
                        /*cancellable=*/true);
 }
 
+void Scheduler::post_in(Time delay, SchedFn fn, Domain exec) {
+  if (delay < Time::zero()) {
+    throw LogicError("post_in negative delay: " + delay.str());
+  }
+  schedule_impl(now() + delay, std::move(fn), exec, /*cancellable=*/false);
+}
+
 // --- Execution --------------------------------------------------------------
 
 void Scheduler::execute_entry(SubQueue& sub, int shard, const HeapEntry& entry,

@@ -33,7 +33,10 @@
 // events are skipped when they surface at the top of a heap AND reclaimed
 // in bulk by threshold-based compaction. Handle states are recycled through
 // a per-shard free list, so the steady-state rearm cycle performs no heap
-// allocation (tests/sim/alloc_guard_test.cpp).
+// allocation (tests/sim/alloc_guard_test.cpp). Events nothing cancels (link
+// deliveries, via post_in) take no handle state at all, and per-packet
+// deadline refreshes move a stored expiry (Timer::extend) instead of
+// cancelling, so compaction is a backstop for control-plane re-arms.
 #pragma once
 
 #include <atomic>
@@ -81,7 +84,8 @@ struct EventKey {
 
 /// Cancellable handle to a scheduled event. Copyable; all copies refer to the
 /// same event. A default-constructed handle is inert. Cross-shard staged
-/// events are not cancellable (Link deliveries never cancel).
+/// events are not cancellable, nor are post_in events (Link deliveries
+/// never cancel).
 class EventHandle {
  public:
   EventHandle() = default;
@@ -134,6 +138,9 @@ class Scheduler {
   /// Schedules `fn` to run `delay` from now (delay must be >= 0).
   EventHandle schedule_in(Time delay, SchedFn fn);
   EventHandle schedule_in(Time delay, SchedFn fn, Domain exec);
+  /// schedule_in without a handle, for events nothing ever cancels (link
+  /// deliveries): same canonical key, but no handle state is taken.
+  void post_in(Time delay, SchedFn fn, Domain exec);
 
   /// Runs events until the queues are empty or `until` is reached; events
   /// at exactly `until` are executed. Returns the number executed.
@@ -198,8 +205,9 @@ class Scheduler {
   friend class DomainScope;
 
   /// Event payloads live in slots_ and never move; the binary heap orders
-  /// trivially-copyable 32-byte entries, so push_heap/pop_heap sifts are
-  /// plain memcpys instead of type-erased closure relocations.
+  /// trivially-copyable 40-byte entries (32-byte key plus slot), so
+  /// push_heap/pop_heap sifts are plain memcpys instead of type-erased
+  /// closure relocations.
   struct Event {
     SchedFn fn;
     std::shared_ptr<EventHandle::State> state;

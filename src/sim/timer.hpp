@@ -6,6 +6,12 @@
 // callback. The callback is set once at construction, which mirrors how
 // protocol specs describe timers ("when the timer expires, do X").
 //
+// A per-packet refresh (the (S,G) data timeout) uses extend() instead of
+// arm(): moving the deadline later only stores it, and the pending event
+// wakes at the old expiry and sleeps on to the stored one. The timer still
+// expires at the last refresh plus its duration, with one heap entry in
+// flight instead of a cancel and a push per packet.
+//
 // A Timer is bound to a domain. Prefer passing it explicitly: protocol
 // state (and its timers) is routinely created both from the owning node's
 // own packet events and from structural entry points (initial subscribe,
@@ -46,18 +52,18 @@ class Timer {
   void arm(Time delay) {
     cancel();
     expiry_ = sched_->now() + delay;
-    handle_ = sched_->schedule_in(
-        delay,
-        [this] {
-          expiry_ = Time::never();
-          // Invoke through a copy: expiry handlers routinely destroy the
-          // state that owns this Timer (listener entries, (S,G) entries,
-          // neighbor records erase themselves), and destroying a
-          // std::function during its own invocation is undefined behaviour.
-          auto fn = on_expire_;
-          fn();
-        },
-        domain_);
+    handle_ = sched_->schedule_in(delay, [this] { on_event(); }, domain_);
+  }
+
+  /// Moves the expiry to `delay` from now. On a running timer a deadline at
+  /// or after the current one is only stored; anything else is arm().
+  void extend(Time delay) {
+    const Time candidate = sched_->now() + delay;
+    if (running() && candidate >= expiry_) {
+      expiry_ = candidate;
+      return;
+    }
+    arm(delay);
   }
 
   /// Arms only if not already running (used for "set if not set" semantics).
@@ -85,6 +91,21 @@ class Timer {
   }
 
  private:
+  void on_event() {
+    if (sched_->now() < expiry_) {
+      // extend() moved the deadline since this event was scheduled.
+      handle_ = sched_->schedule_at(expiry_, [this] { on_event(); }, domain_);
+      return;
+    }
+    expiry_ = Time::never();
+    // Invoke through a copy: expiry handlers routinely destroy the state
+    // that owns this Timer (listener entries, (S,G) entries, neighbor
+    // records erase themselves), and destroying a std::function during its
+    // own invocation is undefined behaviour.
+    auto fn = on_expire_;
+    fn();
+  }
+
   Scheduler* sched_;
   Domain domain_;
   std::function<void()> on_expire_;

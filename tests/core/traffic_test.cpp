@@ -96,6 +96,39 @@ TEST(GroupReceiverApp, DeduplicatesBySequence) {
   EXPECT_EQ(app.duplicates(), 1u);
 }
 
+TEST(GroupReceiverApp, DeduplicatesOutOfOrderArrivals) {
+  World world(1);
+  Link& lan = world.add_link("lan");
+  world.add_router("R", {&lan});
+  NodeRuntime& h = world.add_host("H", lan);
+  world.finalize();
+  GroupReceiverApp app(*h.stack, 9000);
+
+  Address group = Address::parse("ff1e::3");
+  h.stack->join_local_group(h.iface(), group);
+  auto receive = [&](std::uint32_t seq) {
+    CbrPayload p;
+    p.seq = seq;
+    DatagramSpec spec;
+    spec.src = Address::parse("2001:db8:9::1");
+    spec.dst = group;
+    spec.protocol = proto::kUdp;
+    spec.payload =
+        UdpDatagram{9000, 9000, p.encode(32)}.serialize(spec.src, spec.dst);
+    h.stack->receive_as_if(h.iface(), build_datagram(spec));
+  };
+  // Late, early and repeated sequence numbers around a gap, as a handoff
+  // that switches between two delivery paths produces.
+  for (std::uint32_t seq : {5u, 1u, 3u, 1u, 5u, 0u, 2u, 3u, 4u, 0u, 6u}) {
+    receive(seq);
+  }
+  EXPECT_EQ(app.unique_received(), 7u);
+  EXPECT_EQ(app.duplicates(), 4u);
+  std::vector<std::uint32_t> order;
+  for (const auto& rx : app.log()) order.push_back(rx.seq);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{5, 1, 3, 0, 2, 4, 6}));
+}
+
 TEST(GroupReceiverApp, FiltersByPort) {
   World world(1);
   Link& lan = world.add_link("lan");

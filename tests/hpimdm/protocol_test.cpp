@@ -1,15 +1,21 @@
 // HPIM-DM engine behavior on the Figure 1 world: interest replaces
 // flood-and-prune (leave/rejoin react through acknowledged declarations, not
 // timer cycles), control messages retransmit with backoff until acked,
-// silent neighbors expire and interest is recomputed without them, and a
-// crash keeps the hard state so a restart forwards again without a re-flood.
+// silent neighbors expire and interest is recomputed without them, a crash
+// keeps the hard state so a restart forwards again without a re-flood, and
+// an (S,G) entry lives exactly one data timeout past its last datagram.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/figure1.hpp"
 #include "core/traffic.hpp"
+#include "core/world.hpp"
 #include "fault/chaos.hpp"
 
 namespace mip6 {
@@ -197,6 +203,87 @@ TEST(HpimProtocol, SyncStormIsDampedToOnePerInterval) {
   EXPECT_GT(h.counter("hpimdm/sync-damped"), 0u);
   // Damping must not cost correctness: the stream is back at the end.
   EXPECT_GT(h.app3->received_in(Time::sec(30), Time::sec(35)), 40u);
+}
+
+/// sender -- L0 -- R0 -- L1 -- R1 -- L2 -- R2 -- L3 -- member, under
+/// HPIM-DM with a short data timeout and a CBR flow, recording when each
+/// router last received a datagram of the flow.
+struct TimedChain {
+  static constexpr Time kDataTimeout = Time::sec(3);
+  const Address group = Address::parse("ff1e::5");
+  // Declared before the world, which traces into them until it is gone.
+  std::vector<TraceRecord> records;
+  std::map<std::string, Time> last_rx;  // router name -> last arrival
+  World world{1, [] {
+                WorldConfig c = hpim_world();
+                c.hpim.data_timeout = kDataTimeout;
+                return c;
+              }()};
+  Link& l0 = world.add_link("L0");
+  Link& l1 = world.add_link("L1");
+  Link& l2 = world.add_link("L2");
+  Link& l3 = world.add_link("L3");
+  NodeRuntime& r0 = world.add_router("R0", {&l0, &l1});
+  NodeRuntime& r1 = world.add_router("R1", {&l1, &l2});
+  NodeRuntime& r2 = world.add_router("R2", {&l2, &l3});
+  NodeRuntime& sender = world.add_host("S", l0);
+  NodeRuntime& member = world.add_host("H", l3);
+  std::unique_ptr<CbrSource> source;
+
+  TimedChain() {
+    world.finalize();
+    world.net().trace().set_sink(Trace::recorder(records));
+    for (Link* l : {&l0, &l1, &l2}) {
+      l->set_drop_fn([this](const Packet& pkt, const Interface& to) {
+        ParsedDatagram d = parse_datagram(pkt.view());
+        if (d.hdr.dst == group && d.protocol == proto::kUdp) {
+          last_rx[to.node().name()] = world.scheduler().now();
+        }
+        return false;
+      });
+    }
+    member.mld_host->join(member.iface(), group);
+    source = std::make_unique<CbrSource>(
+        world.scheduler(),
+        [this](Bytes p) {
+          sender.service->send_multicast(group, kPort, kPort, std::move(p));
+        },
+        Time::ms(100), 32);
+    source->start(Time::ms(100));
+  }
+
+  std::uint64_t expired() {
+    return world.net().counters().get("hpimdm/sg-expired");
+  }
+};
+
+TEST(HpimProtocol, LiveFlowOutlivesManyDataTimeouts) {
+  TimedChain c;
+  // Every datagram refreshes the entry; the flow runs over 3 timeouts.
+  c.world.run_until(TimedChain::kDataTimeout * 3 + Time::sec(1));
+  EXPECT_EQ(c.expired(), 0u);
+  for (NodeRuntime* r : {&c.r0, &c.r1, &c.r2}) {
+    EXPECT_EQ(r->hpim->entry_count(), 1u) << r->node->name();
+  }
+}
+
+TEST(HpimProtocol, EntryExpiresOneDataTimeoutAfterItsLastDatagram) {
+  TimedChain c;
+  c.world.run_until(TimedChain::kDataTimeout * 2 + Time::ms(550));
+  c.source->stop();
+  c.world.run_until(TimedChain::kDataTimeout * 5);
+  EXPECT_EQ(c.expired(), 3u);
+  for (NodeRuntime* r : {&c.r0, &c.r1, &c.r2}) {
+    const std::string& name = r->node->name();
+    EXPECT_EQ(r->hpim->entry_count(), 0u) << name;
+    ASSERT_TRUE(c.last_rx.count(name)) << name;
+    auto rec = std::find_if(
+        c.records.begin(), c.records.end(), [&](const TraceRecord& tr) {
+          return tr.event == "sg-expired" && tr.component == "hpimdm/" + name;
+        });
+    ASSERT_NE(rec, c.records.end()) << name;
+    EXPECT_EQ(rec->at, c.last_rx[name] + TimedChain::kDataTimeout) << name;
+  }
 }
 
 }  // namespace

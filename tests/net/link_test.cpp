@@ -120,11 +120,19 @@ TEST(Link, DropFunctionInjectsLoss) {
 TEST(Link, TxHookObservesTransmissions) {
   Fixture f;
   int hooked = 0;
-  f.net.add_tx_hook(
+  int kept = 0;
+  const Network::TxHookId id = f.net.add_tx_hook(
       [&](const Link&, const Interface&, const Packet&) { ++hooked; });
+  f.net.add_tx_hook(
+      [&](const Link&, const Interface&, const Packet&) { ++kept; });
   f.i1.send(f.packet());
   f.i1.send(f.packet());
   EXPECT_EQ(hooked, 2);
+  // A removed hook is never called again; the others keep observing.
+  f.net.remove_tx_hook(id);
+  f.i1.send(f.packet());
+  EXPECT_EQ(hooked, 2);
+  EXPECT_EQ(kept, 3);
 }
 
 TEST(Link, ReattachToSameLinkIsNoop) {

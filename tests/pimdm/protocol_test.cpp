@@ -3,6 +3,11 @@
 // timeout, and the local-receiver pinning used by PIM-capable home agents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/metrics.hpp"
 #include "core/traffic.hpp"
 #include "core/world.hpp"
@@ -152,6 +157,74 @@ TEST(PimDm, DataTimeoutExpiresSilentSource) {
   EXPECT_EQ(t.r0.pim->entry_count(), 0u);
   EXPECT_EQ(t.r2.pim->entry_count(), 0u);
   EXPECT_GT(t.world.net().counters().get("pimdm/sg-expired"), 0u);
+}
+
+/// The Chain with a member behind R2, a short data timeout, a CBR flow and
+/// a record of when each router last received a datagram of the flow.
+struct TimedChain {
+  static constexpr Time kDataTimeout = Time::sec(3);
+  // Declared before the world, which traces into them until it is gone.
+  std::vector<TraceRecord> records;
+  std::map<std::string, Time> last_rx;  // router name -> last arrival
+  Chain t{[] {
+    WorldConfig c;
+    c.pim.data_timeout = kDataTimeout;
+    return c;
+  }()};
+  CbrSource source{t.world.scheduler(),
+                   [this](Bytes p) {
+                     t.sender.service->send_multicast(kGroup, kPort, kPort,
+                                                      std::move(p));
+                   },
+                   Time::ms(100), 32};
+
+  TimedChain() {
+    t.world.net().trace().set_sink(Trace::recorder(records));
+    for (Link* l : {&t.l0, &t.l1, &t.l2}) {
+      l->set_drop_fn([this](const Packet& pkt, const Interface& to) {
+        ParsedDatagram d = parse_datagram(pkt.view());
+        if (d.hdr.dst == kGroup && d.protocol == proto::kUdp) {
+          last_rx[to.node().name()] = t.world.scheduler().now();
+        }
+        return false;
+      });
+    }
+    t.host.mld_host->join(t.host.iface(), kGroup);
+    source.start(Time::ms(100));
+  }
+
+  std::uint64_t expired() {
+    return t.world.net().counters().get("pimdm/sg-expired");
+  }
+};
+
+TEST(PimDm, LiveFlowOutlivesManyDataTimeouts) {
+  TimedChain c;
+  // Every datagram refreshes the entry; the flow runs over 3 timeouts.
+  c.t.world.run_until(TimedChain::kDataTimeout * 3 + Time::sec(1));
+  EXPECT_EQ(c.expired(), 0u);
+  for (NodeRuntime* r : {&c.t.r0, &c.t.r1, &c.t.r2}) {
+    EXPECT_EQ(r->pim->entry_count(), 1u) << r->node->name();
+  }
+}
+
+TEST(PimDm, EntryExpiresOneDataTimeoutAfterItsLastDatagram) {
+  TimedChain c;
+  c.t.world.run_until(TimedChain::kDataTimeout * 2 + Time::ms(550));
+  c.source.stop();
+  c.t.world.run_until(TimedChain::kDataTimeout * 5);
+  EXPECT_EQ(c.expired(), 3u);
+  for (NodeRuntime* r : {&c.t.r0, &c.t.r1, &c.t.r2}) {
+    const std::string& name = r->node->name();
+    EXPECT_EQ(r->pim->entry_count(), 0u) << name;
+    ASSERT_TRUE(c.last_rx.count(name)) << name;
+    auto rec = std::find_if(
+        c.records.begin(), c.records.end(), [&](const TraceRecord& tr) {
+          return tr.event == "sg-expired" && tr.component == "pimdm/" + name;
+        });
+    ASSERT_NE(rec, c.records.end()) << name;
+    EXPECT_EQ(rec->at, c.last_rx[name] + TimedChain::kDataTimeout) << name;
+  }
 }
 
 /// Shared-LAN topology for prune-override and assert tests:

@@ -8,6 +8,8 @@
 //  * steady-state Timer::arm -> cancel -> arm cycles allocate nothing — the
 //    scheduler recycles EventHandle states through a free list and the arm
 //    lambda fits std::function's inline buffer;
+//  * so do Timer::extend -> wake-up -> reschedule -> expire cycles and
+//    handle-free Scheduler::post_in events;
 //  * Trace::emit with no sink installed allocates nothing — detail strings
 //    are built lazily, only when a sink will consume them.
 #include <gtest/gtest.h>
@@ -92,6 +94,47 @@ TEST(AllocGuard, ExpiringTimersDoNotAllocateAtSteadyState) {
   EXPECT_EQ(allocations(), before)
       << "arm -> expire cycle allocated on the hot path";
   EXPECT_EQ(fired, 10256u);
+}
+
+TEST(AllocGuard, ExtendWakeUpCycleDoesNotAllocateAtSteadyState) {
+  Scheduler sched;
+  std::uint64_t fired = 0;
+  Timer timer(sched, [&fired] { ++fired; });
+  // Armed for 10 ms and extended by 10 ms at 5 ms: the event wakes at
+  // 10 ms, reschedules itself to 15 ms and expires there.
+  auto cycle = [&] {
+    timer.arm(Time::ms(10));
+    sched.run_until(sched.now() + Time::ms(5));
+    timer.extend(Time::ms(10));
+    sched.run_until(sched.now() + Time::ms(20));
+  };
+  for (int i = 0; i < 256; ++i) cycle();
+  ASSERT_EQ(fired, 256u);
+  ASSERT_EQ(sched.executed_events(), 2u * 256u);  // a wake-up per expiry
+
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 10000; ++i) cycle();
+  EXPECT_EQ(allocations(), before)
+      << "extend -> wake-up -> expire cycle allocated on the hot path";
+  EXPECT_EQ(fired, 10256u);
+}
+
+TEST(AllocGuard, PostedEventsDoNotAllocateAtSteadyState) {
+  Scheduler sched;
+  const Domain d = sched.add_domain();
+  std::uint64_t ran = 0;
+  auto burst = [&] {
+    for (int k = 0; k < 8; ++k) {
+      sched.post_in(Time::us(10 * k), [&ran] { ++ran; }, d);
+    }
+    sched.run_until(sched.now() + Time::ms(1));
+  };
+  for (int i = 0; i < 256; ++i) burst();
+
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 10000; ++i) burst();
+  EXPECT_EQ(allocations(), before) << "post_in allocated on the hot path";
+  EXPECT_EQ(ran, 8u * 10256u);
 }
 
 TEST(AllocGuard, DisabledTraceEmitDoesNotAllocate) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace mip6 {
 namespace {
@@ -164,6 +168,61 @@ TEST(Scheduler, RecycledStatesDoNotConfuseOldHandles) {
   // so a burst of new events must not flip `stale` back to pending.
   for (int i = 0; i < 50; ++i) s.schedule_at(Time::sec(10), [] {});
   EXPECT_FALSE(stale.pending());
+}
+
+// Replays one random event tree: each event logs (time, id) and spawns one
+// or two children at small random delays into random domains, so many
+// events tie on their execution time. With `post`, the children drawn as
+// deliveries go through post_in instead of schedule_in.
+std::vector<std::pair<Time, int>> run_event_tree(bool post) {
+  Scheduler s;
+  const Domain domains[] = {kWorldDomain, s.add_domain(), s.add_domain()};
+  Rng rng(11);
+  std::vector<std::pair<Time, int>> log;
+  int next_id = 0;
+  std::function<void(int)> fire;
+  auto spawn = [&] {
+    const int id = next_id++;
+    const Time delay = Time::us(static_cast<std::int64_t>(rng.uniform_int(10)));
+    const Domain exec = domains[rng.uniform_int(3)];
+    const bool delivery = rng.bernoulli(0.5);
+    if (post && delivery) {
+      s.post_in(delay, [&fire, id] { fire(id); }, exec);
+    } else {
+      s.schedule_in(delay, [&fire, id] { fire(id); }, exec);
+    }
+  };
+  fire = [&](int id) {
+    log.emplace_back(s.now(), id);
+    if (next_id >= 5000) return;
+    for (std::uint64_t k = 1 + rng.uniform_int(2); k > 0; --k) spawn();
+  };
+  for (int i = 0; i < 20; ++i) spawn();
+  s.run();
+  return log;
+}
+
+TEST(Scheduler, PostedEventsKeepTheCanonicalOrder) {
+  const auto with_handles = run_event_tree(false);
+  const auto posted = run_event_tree(true);
+  ASSERT_EQ(with_handles.size(), 5000u);
+  EXPECT_EQ(posted, with_handles);
+}
+
+TEST(Scheduler, PostedEventsAreNeverCancelled) {
+  Scheduler s;
+  const Domain d = s.add_domain();
+  int ran = 0;
+  for (int i = 0; i < 40; ++i) {
+    s.post_in(Time::ms(i), [&ran] { ++ran; }, d);
+    s.schedule_in(Time::ms(i), [] {}, d).cancel();
+  }
+  EXPECT_EQ(s.cancelled_events(), 40u);  // only the schedule_in events
+  EXPECT_EQ(s.live_events(), 40u);
+  EXPECT_EQ(s.run(), 40u);
+  EXPECT_EQ(ran, 40);
+  EXPECT_EQ(s.cancelled_events(), 0u);
+  EXPECT_THROW(s.post_in(Time::zero() - Time::sec(1), [] {}, d), LogicError);
 }
 
 }  // namespace
