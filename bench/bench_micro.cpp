@@ -1,8 +1,12 @@
 // MICRO — google-benchmark microbenchmarks of the substrate: event
-// scheduler throughput, wire-format serialize/parse rates, checksum, RIB
-// lookup and routing recomputation at 1024 routers, and a full Figure-1
-// simulated second. These bound how large the scenario sweeps can go.
+// scheduler throughput, link deliveries over a large timer heap,
+// wire-format serialize/parse rates, checksum, RIB lookup and routing
+// recomputation at 1024 routers, and a full Figure-1 simulated second.
+// These bound how large the scenario sweeps can go.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "core/figure1.hpp"
 #include "core/random_topology.hpp"
@@ -12,6 +16,7 @@
 #include "mipv6/messages.hpp"
 #include "pimdm/messages.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 #include "util/checksum.hpp"
 
 namespace mip6 {
@@ -39,6 +44,38 @@ void BM_TimerRearm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TimerRearm);
+
+// Link deliveries over a heap of long-lived timers: 16k armed 210 s timers
+// (about churn-par's timer heap) and 250 deliveries in flight, one due
+// every microsecond over a 250 us link. Each iteration advances one
+// microsecond, which delivers one packet that posts the next, so the time
+// per iteration is the cost of one post_in delivery.
+void BM_SchedulerDeliveriesOverTimers(benchmark::State& state) {
+  Scheduler s;
+  const Domain d = s.add_domain();
+  std::vector<std::unique_ptr<Timer>> timers;
+  for (int i = 0; i < 16000; ++i) {
+    timers.push_back(std::make_unique<Timer>(s, [] {}, d));
+    timers.back()->arm(Time::sec(210) + Time::us(i));
+  }
+  struct Hop {
+    Scheduler* s;
+    Domain d;
+    std::uint64_t delivered = 0;
+    void arrive() {
+      ++delivered;
+      s->post_in(Time::us(250), [this] { arrive(); }, d);
+    }
+  } hop{&s, d};
+  for (int k = 1; k <= 250; ++k) {
+    s.post_in(Time::us(k), [&hop] { hop.arrive(); }, d);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.run_until(s.now() + Time::us(1)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(hop.delivered));
+}
+BENCHMARK(BM_SchedulerDeliveriesOverTimers);
 
 void BM_DatagramBuild(benchmark::State& state) {
   DatagramSpec spec;

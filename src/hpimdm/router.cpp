@@ -13,6 +13,8 @@ HpimDmRouter::HpimDmRouter(Ipv6Stack& stack, MldRouter& mld,
       c_data_fwd_(stack.network().counters().cell("hpimdm/data-fwd")),
       c_mfc_hit_(stack.network().counters().cell("hpimdm/mfc-hit")),
       c_mfc_miss_(stack.network().counters().cell("hpimdm/mfc-miss")),
+      c_wrong_iface_(
+          stack.network().counters().cell("hpimdm/rx-wrong-iface")),
       mifs_(config_.mfc_max_ifaces) {
   generation_id_ = fresh_generation_id();
   leaf_reconcile_timer_ = std::make_unique<Timer>(
@@ -516,7 +518,7 @@ void HpimDmRouter::on_multicast_data(const ParsedDatagram& d,
       // this self-quenches; the rate limit only spaces the initial burst.
       send_uninterest_nonrpf(*e, iface);
     }
-    count("hpimdm/rx-wrong-iface");
+    c_wrong_iface_.add();
     return;
   }
 

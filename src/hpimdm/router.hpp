@@ -259,6 +259,8 @@ class HpimDmRouter : public DenseModeEngine {
   /// Flow-cache hit/miss cells, resolved once (hot path, no string work).
   CounterCell c_mfc_hit_;
   CounterCell c_mfc_miss_;
+  /// "hpimdm/rx-wrong-iface": every data arrival off the RPF interface.
+  CounterCell c_wrong_iface_;
   /// Per-RPF-interface hit/miss cells ("hpimdm/mfc-hit.if<id>"), index =
   /// mifi. Rebuilt by mif_of() whenever the mif table renumbers, so the
   /// hot path never does string work.

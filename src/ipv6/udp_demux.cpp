@@ -4,7 +4,12 @@
 
 namespace mip6 {
 
-UdpDemux::UdpDemux(Ipv6Stack& stack) : stack_(&stack) {
+UdpDemux::UdpDemux(Ipv6Stack& stack)
+    : stack_(&stack),
+      c_parse_error_(
+          stack.network().counters().cell("udp/rx-drop/parse-error")),
+      c_no_listener_(
+          stack.network().counters().cell("udp/rx-drop/no-listener")) {
   stack.set_proto_handler(
       proto::kUdp,
       [this](const ParsedDatagram& d, const Packet&, IfaceId iface) {
@@ -27,14 +32,14 @@ void UdpDemux::on_udp(const ParsedDatagram& d, IfaceId iface) {
   ParseResult<UdpDatagram> parsed =
       UdpDatagram::try_parse(d.payload, d.hdr.src, d.hdr.dst);
   if (!parsed.ok()) {
-    stack_->network().counters().add("udp/rx-drop/parse-error");
+    c_parse_error_.add();
     note_parse_reject(stack_->network(), "udp", parsed.failure());
     return;
   }
   UdpDatagram udp = std::move(parsed).value();
   auto it = handlers_.find(udp.dst_port);
   if (it == handlers_.end()) {
-    stack_->network().counters().add("udp/rx-drop/no-listener");
+    c_no_listener_.add();
     return;
   }
   it->second(udp, d, iface);

@@ -32,6 +32,10 @@ class UdpDemux : public ProtocolModule {
 
   Ipv6Stack* stack_;
   std::map<std::uint16_t, Handler> handlers_;
+  /// Drop counters, resolved once: routers are multicast-promiscuous, so
+  /// every transit data datagram reaches this demux and finds no listener.
+  CounterCell c_parse_error_;
+  CounterCell c_no_listener_;
 };
 
 }  // namespace mip6

@@ -71,9 +71,9 @@ void Network::enable_sharding(std::vector<std::uint32_t> domain_shard,
     extra_pools_.push_back(std::make_unique<BufferPool>());
     extra_pools_.back()->set_parallel(true);
   }
+  // Counters are not folded here: every reader folds first.
   sched_.set_barrier_hook([this] {
     trace_.merge_shards();
-    counters_.merge_shards();
     buffer_pool_.mark_safe();
     for (auto& p : extra_pools_) p->mark_safe();
   });

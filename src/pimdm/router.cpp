@@ -12,6 +12,8 @@ PimDmRouter::PimDmRouter(Ipv6Stack& stack, MldRouter& mld, PimDmConfig config)
       c_data_fwd_(stack.network().counters().cell("pimdm/data-fwd")),
       c_mfc_hit_(stack.network().counters().cell("pimdm/mfc-hit")),
       c_mfc_miss_(stack.network().counters().cell("pimdm/mfc-miss")),
+      c_wrong_iface_(
+          stack.network().counters().cell("pimdm/rx-wrong-iface")),
       mifs_(config_.mfc_max_ifaces) {
   stack.set_mcast_forwarder(
       [this](const ParsedDatagram& d, const Packet& pkt, IfaceId iface) {
@@ -485,7 +487,7 @@ void PimDmRouter::on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
         }
       }
     }
-    count("pimdm/rx-wrong-iface");
+    c_wrong_iface_.add();
     return;
   }
 

@@ -220,6 +220,8 @@ class PimDmRouter : public DenseModeEngine {
   /// Flow-cache hit/miss cells, resolved once (hot path, no string work).
   CounterCell c_mfc_hit_;
   CounterCell c_mfc_miss_;
+  /// "pimdm/rx-wrong-iface": every data arrival off the RPF interface.
+  CounterCell c_wrong_iface_;
   /// Per-RPF-interface hit/miss cells ("pimdm/mfc-hit.if<id>"), index =
   /// mifi. Rebuilt by mif_of() whenever the mif table renumbers, so the
   /// hot path never does string work.

@@ -91,23 +91,36 @@ std::uint64_t Scheduler::next_emit_seq() {
 
 // --- SubQueue ---------------------------------------------------------------
 
-EventKey Scheduler::SubQueue::min_key() {
-  // Shed cancelled entries from the top so the controller's window planning
-  // never keys off a dead event.
-  while (!heap.empty()) {
-    const HeapEntry& top = heap.front();
-    Event& ev = slots[top.slot];
-    if (ev.state == nullptr || !ev.state->cancelled) return top.key;
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    --*cancelled_in_heap;
-    release_slot(heap.back().slot);
-    heap.pop_back();
+std::vector<Scheduler::HeapEntry>* Scheduler::SubQueue::front_heap() {
+  if (timers.empty()) return deliveries.empty() ? nullptr : &deliveries;
+  if (deliveries.empty() || timers.front().key < deliveries.front().key) {
+    return &timers;
   }
-  return EventKey{Time::never(), Time::never(), 0, 0};
+  return &deliveries;
+}
+
+Scheduler::HeapEntry Scheduler::SubQueue::pop(std::vector<HeapEntry>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), Later{});
+  const HeapEntry entry = heap.back();
+  heap.pop_back();
+  return entry;
+}
+
+EventKey Scheduler::SubQueue::min_key() {
+  // Shed cancelled timers from the top so the controller's window planning
+  // never keys off a dead event. Deliveries are never cancelled.
+  while (!timers.empty() && slots[timers.front().slot].state->cancelled) {
+    --*cancelled_in_heap;
+    release_slot(pop(timers).slot);
+  }
+  const std::vector<HeapEntry>* heap = front_heap();
+  if (heap == nullptr) return EventKey{Time::never(), Time::never(), 0, 0};
+  return heap->front().key;
 }
 
 void Scheduler::SubQueue::push(const EventKey& key, SchedFn&& fn, Domain exec,
                                std::shared_ptr<EventHandle::State> state) {
+  std::vector<HeapEntry>& heap = state != nullptr ? timers : deliveries;
   std::uint32_t slot = acquire_slot(std::move(fn), std::move(state), exec);
   heap.push_back(HeapEntry{key, slot});
   std::push_heap(heap.begin(), heap.end(), Later{});
@@ -183,20 +196,19 @@ void Scheduler::SubQueue::sweep_deferred() {
 
 void Scheduler::SubQueue::maybe_compact() {
   const std::uint64_t dead = cancelled();
-  if (dead < Scheduler::kCompactMin || dead * 2 < heap.size()) return;
+  if (dead < Scheduler::kCompactMin || dead * 2 < timers.size()) return;
   std::size_t keep = 0;
-  for (std::size_t i = 0; i < heap.size(); ++i) {
-    Event& ev = slots[heap[i].slot];
-    if (ev.state != nullptr && ev.state->cancelled) {
-      release_slot(heap[i].slot);
+  for (std::size_t i = 0; i < timers.size(); ++i) {
+    if (slots[timers[i].slot].state->cancelled) {
+      release_slot(timers[i].slot);
       continue;
     }
-    heap[keep] = heap[i];
+    timers[keep] = timers[i];
     ++keep;
   }
-  heap.resize(keep);
+  timers.resize(keep);
   *cancelled_in_heap = 0;
-  std::make_heap(heap.begin(), heap.end(), Later{});
+  std::make_heap(timers.begin(), timers.end(), Later{});
   ++compactions;
 }
 
@@ -311,10 +323,9 @@ std::uint64_t Scheduler::run_serial(Time until) {
   ExecCtx saved = tls_;
   tls_ = ExecCtx{this, &sub, -1, kWorldDomain, nullptr};
   std::uint64_t n = 0;
-  while (!sub.heap.empty() && sub.heap.front().key.at <= until) {
-    std::pop_heap(sub.heap.begin(), sub.heap.end(), Later{});
-    HeapEntry entry = sub.heap.back();
-    sub.heap.pop_back();
+  while (std::vector<HeapEntry>* heap = sub.front_heap()) {
+    if (heap->front().key.at > until) break;
+    const HeapEntry entry = SubQueue::pop(*heap);
     execute_entry(sub, -1, entry, n);
     tls_.sub = &sub;  // execute_entry leaves it set; keep for clarity
   }
@@ -329,10 +340,9 @@ std::uint64_t Scheduler::run_shard_before(SubQueue& sub, int shard, Time end) {
   ExecCtx saved = tls_;
   tls_ = ExecCtx{this, &sub, shard, kWorldDomain, nullptr};
   std::uint64_t n = 0;
-  while (!sub.heap.empty() && sub.heap.front().key.at < end) {
-    std::pop_heap(sub.heap.begin(), sub.heap.end(), Later{});
-    HeapEntry entry = sub.heap.back();
-    sub.heap.pop_back();
+  while (std::vector<HeapEntry>* heap = sub.front_heap()) {
+    if (heap->front().key.at >= end) break;
+    const HeapEntry entry = SubQueue::pop(*heap);
     execute_entry(sub, shard, entry, n);
   }
   tls_ = saved;
@@ -364,9 +374,7 @@ std::uint64_t Scheduler::run_instant(Time ts) {
       }
     }
     if (best == nullptr || best_key.at != ts) break;
-    std::pop_heap(best->heap.begin(), best->heap.end(), Later{});
-    HeapEntry entry = best->heap.back();
-    best->heap.pop_back();
+    const HeapEntry entry = SubQueue::pop(*best->front_heap());
     // shard = -1: trace/counter writes go straight to the merged stores.
     execute_entry(*best, -1, entry, n);
     tls_.key = nullptr;
@@ -477,26 +485,30 @@ void Scheduler::migrate_all_to(const std::vector<std::uint32_t>& new_map,
   for (auto& old : subs_) {
     executed += old->executed;
     compactions += old->compactions;
-    for (const HeapEntry& entry : old->heap) {
-      Event& ev = old->slots[entry.slot];
-      if (ev.state != nullptr && ev.state->cancelled) {
-        ev.state->cancelled_in_heap.reset();
-        continue;  // dead: drop instead of migrating
+    for (const auto* heap : {&old->timers, &old->deliveries}) {
+      for (const HeapEntry& entry : *heap) {
+        Event& ev = old->slots[entry.slot];
+        if (ev.state != nullptr && ev.state->cancelled) {
+          ev.state->cancelled_in_heap.reset();
+          continue;  // dead: drop instead of migrating
+        }
+        const std::uint32_t dst =
+            ev.exec < new_map.size() ? new_map[ev.exec] : new_count;
+        SubQueue& target = *fresh[dst];
+        std::vector<HeapEntry>& into =
+            ev.state != nullptr ? target.timers : target.deliveries;
+        if (ev.state != nullptr) {
+          ev.state->cancelled_in_heap = target.cancelled_in_heap;
+        }
+        into.push_back(HeapEntry{
+            entry.key, target.acquire_slot(std::move(ev.fn),
+                                           std::move(ev.state), ev.exec)});
       }
-      const std::uint32_t dst =
-          ev.exec < new_map.size() ? new_map[ev.exec] : new_count;
-      SubQueue& target = *fresh[dst];
-      if (ev.state != nullptr) {
-        ev.state->cancelled_in_heap = target.cancelled_in_heap;
-      }
-      target.heap.push_back(
-          HeapEntry{entry.key,
-                    target.acquire_slot(std::move(ev.fn), std::move(ev.state),
-                                        ev.exec)});
     }
   }
   for (auto& sub : fresh) {
-    std::make_heap(sub->heap.begin(), sub->heap.end(), Later{});
+    std::make_heap(sub->timers.begin(), sub->timers.end(), Later{});
+    std::make_heap(sub->deliveries.begin(), sub->deliveries.end(), Later{});
   }
   fresh[0]->executed = executed;
   fresh[0]->compactions = compactions;
@@ -597,7 +609,7 @@ void Scheduler::worker_main(std::uint32_t shard) {
 
 std::size_t Scheduler::pending_events() const {
   std::size_t n = 0;
-  for (auto& sub : subs_) n += sub->heap.size();
+  for (auto& sub : subs_) n += sub->size();
   return n;
 }
 
@@ -609,7 +621,7 @@ std::size_t Scheduler::event_slots() const {
 
 std::size_t Scheduler::live_events() const {
   std::size_t n = 0;
-  for (auto& sub : subs_) n += sub->heap.size() - sub->cancelled();
+  for (auto& sub : subs_) n += sub->size() - sub->cancelled();
   return n;
 }
 

@@ -13,6 +13,16 @@
 // the whole determinism story: a serial run and an 8-thread run execute the
 // same events in the same canonical order and are byte-identical.
 //
+// Each sub-queue keeps two binary heaps over one slot arena: one for
+// cancellable events (those with handle state, mostly protocol timers) and
+// one for handle-free events (post_in link deliveries and the cross-shard
+// events merged at barriers). Nearly every executed event is a delivery,
+// and the deliveries in flight number hundreds where the long-lived timers
+// (210 s data timeouts, holdtimes, query timers) number thousands, so a
+// delivery sifts through the short heap. A pop takes whichever top is
+// smaller by the full canonical key; keys are unique, so that is exactly
+// the order a single heap would give.
+//
 // Sharded execution (configure_shards) partitions domains into per-shard
 // sub-queues, each an independent indirect-heap scheduler over its own slot
 // arena. Shards advance in lockstep time windows no longer than the
@@ -20,23 +30,25 @@
 // window no cross-shard event can affect another shard, so shards run on
 // worker threads without synchronization. An event scheduled for a domain
 // on another shard (a packet crossing a cut link) is staged in a per-edge
-// outbox and merged into the target heap at the window barrier — its
-// canonical key was fixed at schedule time, so it lands exactly where a
-// serial run would have put it. Events executed by domain 0 are
-// *structural*: they may mutate cross-shard state (move a host, crash a
-// router, recompute routes), so the controller runs them with every shard
-// quiesced, interleaved with same-instant shard events in canonical order.
+// outbox and merged into the target's delivery heap at the window barrier
+// (staged events take no handle) — its canonical key was fixed at schedule
+// time, so it lands exactly where a serial run would have put it. Events
+// executed by domain 0 are *structural*: they may mutate cross-shard state
+// (move a host, crash a router, recompute routes), so the controller runs
+// them with every shard quiesced, interleaved with same-instant shard
+// events in canonical order.
 // Structural events may only be scheduled from the world context (build
 // time or another structural event) or through a structurally-bound Timer.
 //
 // Cancellation is O(1) by invalidating a shared handle state; cancelled
-// events are skipped when they surface at the top of a heap AND reclaimed
-// in bulk by threshold-based compaction. Handle states are recycled through
-// a per-shard free list, so the steady-state rearm cycle performs no heap
-// allocation (tests/sim/alloc_guard_test.cpp). Events nothing cancels (link
-// deliveries, via post_in) take no handle state at all, and per-packet
-// deadline refreshes move a stored expiry (Timer::extend) instead of
-// cancelling, so compaction is a backstop for control-plane re-arms.
+// events (only ever in a timer heap) are skipped when they surface at its
+// top AND reclaimed in bulk by threshold-based compaction. Handle states
+// are recycled through a per-shard free list, so the steady-state rearm
+// cycle performs no heap allocation (tests/sim/alloc_guard_test.cpp).
+// Events nothing cancels (link deliveries, via post_in) take no handle
+// state at all, and per-packet deadline refreshes move a stored expiry
+// (Timer::extend) instead of cancelling, so compaction is a backstop for
+// control-plane re-arms.
 #pragma once
 
 #include <atomic>
@@ -172,9 +184,10 @@ class Scheduler {
   /// Monotone per-shard emit counter for deterministic trace merging.
   static std::uint64_t next_emit_seq();
 
-  /// Hook run by the controller at every window barrier and before every
-  /// structural instant, with all shards quiesced. The Network uses it to
-  /// merge per-shard trace buffers into the user sink in canonical order.
+  /// Hook run by the controller after every window barrier and structural
+  /// instant, with all shards quiesced. The Network uses it to merge
+  /// per-shard trace buffers into the user sink in canonical order and to
+  /// mark pooled buffers reusable.
   using BarrierHook = std::function<void()>;
   void set_barrier_hook(BarrierHook hook) { barrier_hook_ = std::move(hook); }
 
@@ -184,8 +197,8 @@ class Scheduler {
   std::uint64_t structural_instants() const { return structural_instants_; }
 
   // --- Introspection -----------------------------------------------------
-  /// Heap entries, including not-yet-reclaimed cancelled events (bounded by
-  /// compaction at ~2x the live count).
+  /// Entries in both heaps, including not-yet-reclaimed cancelled timers
+  /// (compaction keeps those below about the live timer count).
   std::size_t pending_events() const;
   /// Event payload slots currently allocated (high-water mark of pending).
   std::size_t event_slots() const;
@@ -197,14 +210,14 @@ class Scheduler {
   /// Times a heap was rebuilt to shed cancelled entries.
   std::uint64_t compactions() const;
 
-  /// Cancelled fraction above which (and entry count kCompactMin above
-  /// which) a sub-queue is compacted.
+  /// Cancelled count at or above which a sub-queue's timer heap is
+  /// compacted, once the cancelled entries are also half of that heap.
   static constexpr std::size_t kCompactMin = 64;
 
  private:
   friend class DomainScope;
 
-  /// Event payloads live in slots_ and never move; the binary heap orders
+  /// Event payloads live in slots and never move; the binary heaps order
   /// trivially-copyable 40-byte entries (32-byte key plus slot), so
   /// push_heap/pop_heap sifts are plain memcpys instead of type-erased
   /// closure relocations.
@@ -230,7 +243,12 @@ class Scheduler {
   };
 
   struct SubQueue {
-    std::vector<HeapEntry> heap;  // binary heap ordered by Later
+    /// Binary heaps ordered by Later, both over `slots`: events with handle
+    /// state (cancellable; mostly timers), and handle-free events (post_in
+    /// deliveries, merged cross-shard events). Only `timers` can hold
+    /// cancelled entries.
+    std::vector<HeapEntry> timers;
+    std::vector<HeapEntry> deliveries;
     std::vector<Event> slots;
     std::vector<std::uint32_t> free_slots;
     std::shared_ptr<std::uint64_t> cancelled_in_heap;
@@ -246,6 +264,11 @@ class Scheduler {
     std::uint64_t cancelled() const {
       return cancelled_in_heap ? *cancelled_in_heap : 0;
     }
+    std::size_t size() const { return timers.size() + deliveries.size(); }
+    /// The heap whose top is the earliest entry, or null when both are
+    /// empty. Keys are unique, so popping it gives the one-heap order.
+    std::vector<HeapEntry>* front_heap();
+    static HeapEntry pop(std::vector<HeapEntry>& heap);
     /// Key of the earliest live entry, or at == never() when empty.
     EventKey min_key();
     void push(const EventKey& key, SchedFn&& fn, Domain exec,

@@ -31,16 +31,12 @@ std::uint64_t CounterRegistry::get(std::string_view name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-std::uint64_t& CounterRegistry::counter(std::string_view name) {
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), 0).first;
-  }
-  return it->second;
-}
-
 CounterCell CounterRegistry::cell(std::string_view name) {
-  std::uint64_t& base = counter(name);
+  auto base_it = counters_.find(name);
+  if (base_it == counters_.end()) {
+    base_it = counters_.emplace(std::string(name), 0).first;
+  }
+  std::uint64_t& base = base_it->second;
   auto it = cell_idx_.find(name);
   if (it == cell_idx_.end()) {
     it = cell_idx_.emplace(std::string(name),
@@ -73,7 +69,7 @@ std::vector<std::pair<std::string, std::uint64_t>> CounterRegistry::snapshot()
   return out;
 }
 
-// Zero in place instead of erasing: counter() references must survive reset.
+// Zero in place instead of erasing: cells point into counters_.
 void CounterRegistry::reset() {
   for (auto& [name, value] : counters_) value = 0;
   for (auto& o : overlays_) {
@@ -83,6 +79,7 @@ void CounterRegistry::reset() {
 }
 
 void CounterRegistry::enable_shards(std::size_t shards) {
+  if (sharded_) merge_shards();
   overlays_.assign(shards, Overlay{});
   for (auto& o : overlays_) o.vals.resize(cell_base_.size(), 0);
   sharded_ = true;
@@ -97,7 +94,7 @@ void CounterRegistry::disable_shards() {
 
 void CounterRegistry::merge_shards() const {
   // Controller-side: all shards quiesced. Sums are commutative, so folding
-  // at barriers (or lazily before a read) produces the serial totals.
+  // lazily before a read produces the serial totals.
   auto* self = const_cast<CounterRegistry*>(this);
   for (auto& o : overlays_) {
     for (std::size_t i = 0; i < o.vals.size(); ++i) {

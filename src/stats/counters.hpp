@@ -9,10 +9,11 @@
 // Sharded operation: under parallel execution every write from a worker
 // shard lands in that shard's overlay — an indexed array for pre-resolved
 // CounterCells plus a name-keyed map for cold, lazily-named counters — and
-// the overlays are folded into the base store at window barriers (and
-// before any read). Sums are commutative, so the merged totals are
-// identical to a serial run's; the overlay arrays are retained across
-// merges, keeping the steady-state write path allocation-free.
+// the overlays are folded into the base store when a reader asks (get,
+// sum_prefix, snapshot, CounterCell::value), never at window barriers.
+// Sums are commutative, so the merged totals are identical to a serial
+// run's; the overlay arrays are retained across folds, keeping the
+// steady-state write path allocation-free.
 #pragma once
 
 #include <cstdint>
@@ -56,12 +57,9 @@ class CounterRegistry {
   /// once the name has been registered.
   void add(std::string_view name, std::uint64_t delta = 1);
   std::uint64_t get(std::string_view name) const;
-  /// Direct reference to a counter cell, created at zero if absent. The
-  /// reference stays valid for the registry's lifetime (reset() zeroes
-  /// values in place rather than erasing). Only for code that never runs
-  /// on a worker shard; shard-visited paths use cell() instead.
-  std::uint64_t& counter(std::string_view name);
-  /// Shard-safe handle (see CounterCell). Resolve at construction time.
+  /// Shard-safe handle (see CounterCell), created at zero if absent.
+  /// Resolve at construction time; the handle stays valid for the
+  /// registry's lifetime (reset() zeroes values in place).
   CounterCell cell(std::string_view name);
   /// Sum of all counters whose name starts with `prefix`.
   std::uint64_t sum_prefix(std::string_view prefix) const;
@@ -72,12 +70,14 @@ class CounterRegistry {
 
   // --- Sharded operation -------------------------------------------------
   /// Allocates one overlay per shard; writes from worker contexts divert
-  /// there until merge_shards() folds them into the base store.
+  /// there until merge_shards() folds them into the base store. Called
+  /// again while sharded, it folds the old overlays first.
   void enable_shards(std::size_t shards);
   /// Merges and drops the overlays (back to serial operation).
   void disable_shards();
   /// Folds every overlay into the base store, zeroing the overlays in
-  /// place. Called at window barriers and lazily before reads.
+  /// place. Every reader calls it first; call it only with the shards
+  /// quiesced.
   void merge_shards() const;
   bool sharded() const { return sharded_; }
 

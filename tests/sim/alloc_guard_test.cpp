@@ -241,7 +241,7 @@ TEST(AllocGuard, ShardedCounterCellAddFromWorkersDoesNotAllocate) {
   f.sched.run_until(Time::ms(1256));
   EXPECT_EQ(allocations(), before)
       << "sharded CounterCell::add allocated from a worker shard";
-  // The barrier merge folded every overlay increment into the base store.
+  // get() folds every overlay increment into the base store.
   EXPECT_GT(reg.get("guard/shard0"), warm1);
   EXPECT_GT(reg.get("guard/shard1"), warm2);
 }

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "scheduler_differential.hpp"
 #include "sim/rng.hpp"
 
 namespace mip6 {
@@ -117,16 +118,29 @@ TEST(Scheduler, ExecutedEventsCounterAccumulates) {
 // time surfaced at the top, so the re-arm pattern (schedule far-future,
 // cancel, repeat — what every Timer::arm does) grew the heap without bound.
 // Compaction must keep the heap proportional to the LIVE event count.
+// The bound holds with deliveries in flight too: they sit in their own
+// heap, so they neither dilute the timer heap's cancelled share nor delay
+// its compaction.
 TEST(Scheduler, TenThousandCancelsKeepQueueBounded) {
-  Scheduler s;
-  for (int i = 0; i < 10000; ++i) {
-    EventHandle h = s.schedule_at(Time::sec(1000 + i), [] {});
-    h.cancel();
+  for (std::size_t in_flight : {0u, 1000u}) {
+    SCOPED_TRACE("deliveries in flight: " + std::to_string(in_flight));
+    Scheduler s;
+    const Domain d = s.add_domain();
+    std::size_t delivered = 0;
+    for (std::size_t i = 0; i < in_flight; ++i) {
+      s.post_in(Time::sec(1), [&delivered] { ++delivered; }, d);
+    }
+    for (int i = 0; i < 10000; ++i) {
+      EventHandle h = s.schedule_at(Time::sec(1000 + i), [] {});
+      h.cancel();
+    }
+    EXPECT_EQ(s.live_events(), in_flight);
+    EXPECT_EQ(s.live_events() + s.cancelled_events(), s.pending_events());
+    EXPECT_LT(s.pending_events(), in_flight + 2 * Scheduler::kCompactMin);
+    EXPECT_GT(s.compactions(), 0u);
+    EXPECT_EQ(s.run(), in_flight);
+    EXPECT_EQ(delivered, in_flight);
   }
-  EXPECT_EQ(s.live_events(), 0u);
-  EXPECT_LT(s.pending_events(), 2 * Scheduler::kCompactMin);
-  EXPECT_GT(s.compactions(), 0u);
-  EXPECT_EQ(s.run(), 0u);
 }
 
 TEST(Scheduler, CompactionPreservesLiveEventsAndOrder) {
@@ -223,6 +237,38 @@ TEST(Scheduler, PostedEventsAreNeverCancelled) {
   EXPECT_EQ(ran, 40);
   EXPECT_EQ(s.cancelled_events(), 0u);
   EXPECT_THROW(s.post_in(Time::zero() - Time::sec(1), [] {}, d), LogicError);
+}
+
+// Differential against a single-queue reference (scheduler_differential.hpp):
+// random deliveries, timers, cancels, extends and same-instant ties across
+// four node domains and the world domain must execute in the reference's
+// (key, exec domain) order, with the same live count at every quiesce point.
+TEST(SchedulerDifferential, TwoHeapsPopInSingleQueueOrder) {
+  using namespace difftest;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Scheduler sched;
+    RefScheduler ref;
+    Program<Scheduler> real(sched, seed, 1000, /*global_log=*/true);
+    Program<RefScheduler> model(ref, seed, 1000, /*global_log=*/true);
+    real.start();
+    model.start();
+    drive(sched, real, ref, model, [&](int) {
+      ASSERT_EQ(sched.live_events(), ref.live_events());
+      EXPECT_EQ(sched.live_events() + sched.cancelled_events(),
+                sched.pending_events());
+    });
+    EXPECT_EQ(first_difference(real.global, model.global), -1);
+    EXPECT_EQ(sched.executed_events(), ref.executed_events());
+    EXPECT_EQ(sched.live_events(), 0u);
+    ASSERT_GT(real.global.size(), 1500u);
+    // The program must actually tie: consecutive events at one instant.
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < real.global.size(); ++i) {
+      if (real.global[i].key.at == real.global[i - 1].key.at) ++ties;
+    }
+    EXPECT_GT(ties, 200u);
+  }
 }
 
 }  // namespace

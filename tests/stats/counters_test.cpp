@@ -71,5 +71,18 @@ TEST(CounterRegistry, ResetClears) {
   EXPECT_TRUE(c.snapshot().empty());
 }
 
+TEST(CounterRegistry, ZeroValuedCellsStayOutOfSnapshot) {
+  CounterRegistry c;
+  CounterCell hot = c.cell("hot/path");
+  hot.add(0);
+  EXPECT_TRUE(c.snapshot().empty());
+  EXPECT_EQ(c.get("hot/path"), 0u);
+  EXPECT_EQ(c.sum_prefix("hot/"), 0u);
+  hot.add(2);
+  ASSERT_EQ(c.snapshot().size(), 1u);
+  EXPECT_EQ(c.snapshot()[0].second, 2u);
+  EXPECT_EQ(hot.value(), 2u);
+}
+
 }  // namespace
 }  // namespace mip6
