@@ -48,16 +48,6 @@ struct HpimDmConfig {
   /// live MLD state once this grace period elapses: groups MLD no longer
   /// reports are dropped. Long enough for listeners to re-report.
   Time leaf_reconcile_delay = Time::sec(25);
-
-  // --- Data-plane MFC ------------------------------------------------------
-  /// Bitmap MFC entries + (S,G) flow cache on the data path (see
-  /// docs/PERF.md). Off = the pre-cache per-packet oiflist walk, kept for
-  /// A/B regression runs; every same-seed trace must be byte-identical
-  /// either way.
-  bool mfc = true;
-  /// Fail-fast width budget for the dense interface index table (clamped
-  /// to IfSet::kBits): enabling more interfaces than this throws.
-  std::size_t mfc_max_ifaces = 256;
 };
 
 }  // namespace mip6

@@ -8,21 +8,14 @@ namespace mip6 {
 
 HpimDmRouter::HpimDmRouter(Ipv6Stack& stack, MldRouter& mld,
                            HpimDmConfig config)
-    : stack_(&stack), mld_(&mld), config_(config),
+    : DenseModeEngine(stack, "hpimdm", config.data_timeout),
+      stack_(&stack), mld_(&mld), config_(config),
       component_("hpimdm/" + stack.node().name()),
-      c_data_fwd_(stack.network().counters().cell("hpimdm/data-fwd")),
-      c_mfc_hit_(stack.network().counters().cell("hpimdm/mfc-hit")),
-      c_mfc_miss_(stack.network().counters().cell("hpimdm/mfc-miss")),
       c_wrong_iface_(
-          stack.network().counters().cell("hpimdm/rx-wrong-iface")),
-      mifs_(config_.mfc_max_ifaces) {
+          stack.network().counters().cell("hpimdm/rx-wrong-iface")) {
   generation_id_ = fresh_generation_id();
   leaf_reconcile_timer_ = std::make_unique<Timer>(
       stack.scheduler(), [this] { reconcile_leaf_groups(); }, stack.node().domain());
-  stack.set_mcast_forwarder(
-      [this](const ParsedDatagram& d, const Packet& pkt, IfaceId iface) {
-        on_multicast_data(d, pkt, iface);
-      });
   stack.set_proto_handler(
       proto::kPim,
       [this](const ParsedDatagram& d, const Packet&, IfaceId iface) {
@@ -50,7 +43,7 @@ void HpimDmRouter::stop() {
 }
 
 void HpimDmRouter::shutdown() {
-  mfc_.clear();  // entry pointers just dangled
+  data_plane_.clear();  // entry timers are about to dangle
   entries_.clear();
   ifaces_.clear();
   leaf_groups_.clear();
@@ -65,7 +58,7 @@ void HpimDmRouter::on_crash() {
   // machinery (timers, sequence state, unacked queues) dies with us.
   // The flow cache is derived state over the neighbor set we are about to
   // drop — flush it; the first post-restart datagram refills it.
-  mfc_.invalidate_all();
+  data_plane_.invalidate_all();
   ifaces_.clear();
   leaf_reconcile_timer_->cancel();
   for (auto& [key, e] : entries_) {
@@ -104,7 +97,7 @@ void HpimDmRouter::on_restart() {
 }
 
 void HpimDmRouter::enable_iface(IfaceId iface) {
-  if (config_.mfc) mif_of(iface);  // fail-fast on width overflow
+  data_plane_.add_iface(iface);  // fail-fast on width overflow
   configured_.insert(iface);
   auto [it, fresh] = ifaces_.try_emplace(iface);
   if (!fresh) return;
@@ -137,7 +130,7 @@ void HpimDmRouter::add_local_receiver(const Address& group) {
   if (refs > 1) return;
   for (auto& [key, e] : entries_) {
     if (key.group != group) continue;
-    invalidate_mfc(*e);
+    data_plane_.invalidate(key.source, key.group);
     recompute_interest(*e);
   }
 }
@@ -149,7 +142,7 @@ void HpimDmRouter::remove_local_receiver(const Address& group) {
     local_receivers_.erase(it);
     for (auto& [key, e] : entries_) {
       if (key.group != group) continue;
-      invalidate_mfc(*e);
+      data_plane_.invalidate(key.source, key.group);
       recompute_interest(*e);
     }
   }
@@ -195,9 +188,13 @@ bool HpimDmRouter::assert_loser(const Address& src, const Address& group,
 
 std::vector<IfaceId> HpimDmRouter::outgoing(const Address& src,
                                             const Address& group) const {
+  std::vector<IfaceId> out;
   const SgEntry* e = find_entry(src, group);
-  if (e == nullptr) return {};
-  return oiflist(*e);
+  if (e == nullptr) return out;
+  for (const auto& [iface, d] : e->downstream) {
+    if (oif_active(*e, iface, *d)) out.push_back(iface);
+  }
+  return out;
 }
 
 IfaceId HpimDmRouter::incoming(const Address& src, const Address& group) const {
@@ -293,7 +290,8 @@ HpimDmRouter::SgEntry* HpimDmRouter::create_entry(const Address& src,
 }
 
 void HpimDmRouter::delete_entry(const SgKey& key) {
-  invalidate_mfc(key);  // before erase: the cached state pointer dies here
+  // Before erase: the cached data-timeout pointer dies here.
+  data_plane_.invalidate(key.source, key.group);
   if (entries_.erase(key) > 0) {
     count("hpimdm/sg-expired");
     trace_event("sg-expired", [&] {
@@ -308,7 +306,7 @@ HpimDmRouter::Downstream& HpimDmRouter::downstream(SgEntry& e, IfaceId iface) {
     it = e.downstream.emplace(iface, std::make_unique<Downstream>()).first;
     // A freshly materialized record can join the oif set (dense-mode
     // default: forwarding while its neighbors are unknown).
-    invalidate_mfc(e);
+    data_plane_.invalidate(e.source, e.group);
   }
   return *it->second;
 }
@@ -330,14 +328,6 @@ bool HpimDmRouter::oif_active(const SgEntry& e, IfaceId iface,
   return false;
 }
 
-std::vector<IfaceId> HpimDmRouter::oiflist(const SgEntry& e) const {
-  std::vector<IfaceId> out;
-  for (const auto& [iface, d] : e.downstream) {
-    if (oif_active(e, iface, *d)) out.push_back(iface);
-  }
-  return out;
-}
-
 bool HpimDmRouter::in_oiflist(const SgEntry& e, IfaceId iface) const {
   auto it = e.downstream.find(iface);
   return it != e.downstream.end() && oif_active(e, iface, *it->second);
@@ -352,7 +342,6 @@ bool HpimDmRouter::wants_traffic(const SgEntry& e) const {
 }
 
 void HpimDmRouter::recompute_interest(SgEntry& e) {
-  if (e.rpf_neighbor.is_unspecified()) return;  // we are the first hop
   recompute_interest(e, wants_traffic(e));
 }
 
@@ -377,7 +366,7 @@ void HpimDmRouter::apply_interest(const Address& from, IfaceId iface,
     if (it->second == interested) return;
     it->second = interested;
   }
-  invalidate_mfc(*e);
+  data_plane_.invalidate(src, group);
   trace_event("interest-recorded", [&] {
     return "src=" + src.str() + " group=" + group.str() + " nbr=" +
            from.str() + " interested=" + (interested ? "1" : "0");
@@ -386,102 +375,25 @@ void HpimDmRouter::apply_interest(const Address& from, IfaceId iface,
 }
 
 // ---------------------------------------------------------------------------
-// MFC layer
+// Data plane (slow path)
 
-FlowKey HpimDmRouter::flow_key(const Address& src, const Address& group) {
-  return FlowKey{{src.high64(), src.low64(), group.high64(), group.low64()}};
-}
-
-Mifi HpimDmRouter::mif_of(IfaceId iface) {
-  Mifi m = mifs_.lookup(iface);
-  if (m != kNoMif) return m;
-  m = mifs_.add(iface);
-  // Insertion keeps the table sorted by IfaceId, renumbering later
-  // interfaces: every cached bitmap is now in the wrong basis, and the
-  // per-mifi counter cells point at the wrong interface's counters.
-  mfc_.invalidate_all();
-  rebuild_mfc_cells();
-  return m;
-}
-
-void HpimDmRouter::rebuild_mfc_cells() {
-  c_mfc_shard_hit_.clear();
-  c_mfc_shard_miss_.clear();
-  auto& reg = stack_->network().counters();
-  for (Mifi m = 0; m < mifs_.size(); ++m) {
-    const std::string suffix = ".if" + std::to_string(mifs_.iface(m));
-    c_mfc_shard_hit_.push_back(reg.cell("hpimdm/mfc-hit" + suffix));
-    c_mfc_shard_miss_.push_back(reg.cell("hpimdm/mfc-miss" + suffix));
+bool HpimDmRouter::describe_flow(const Address& src, const Address& group,
+                                 DenseDataPlane::Flow& flow) const {
+  const SgEntry* e = find_entry(src, group);
+  if (e == nullptr) return false;
+  flow.iif = e->incoming;
+  flow.data_timeout = e->entry_timer.get();
+  flow.local_receiver = is_local_receiver(group);
+  for (const auto& [iface, d] : e->downstream) {
+    flow.downstream.emplace_back(iface, oif_active(*e, iface, *d));
   }
+  return true;
 }
 
-MfcEntry* HpimDmRouter::refill_mfc(SgEntry& e) {
-  // Two passes: registering an interface can renumber the mif table (and
-  // flush the cache), so register everything before building the bitmap.
-  // The RPF interface is registered too — it selects the cache sub-table
-  // the fast path will probe on arrival.
-  for (const auto& [iface, d] : e.downstream) mif_of(iface);
-  mif_of(e.incoming);
-  IfSet set;
-  std::uint16_t n = 0;
-  for (const auto& [iface, d] : e.downstream) {
-    if (!oif_active(e, iface, *d)) continue;
-    set.set(mifs_.lookup(iface));
-    ++n;
-  }
-  bool local = is_local_receiver(e.group);
-  if (n == 0 && !local) {
-    // Not cacheable: this path re-declares no-interest upstream and must
-    // keep seeing every datagram.
-    invalidate_mfc(e);
-    return nullptr;
-  }
-  MfcEntry& m = mfc_.insert(flow_key(e.source, e.group),
-                            mifs_.lookup(e.incoming));
-  m.iif = e.incoming;
-  m.oif_count = n;
-  m.local_receiver = local;
-  m.oifs = set;
-  m.state = &e;
-  return &m;
-}
-
-void HpimDmRouter::invalidate_mfc(const SgEntry& e) {
-  mfc_.invalidate(flow_key(e.source, e.group));
-}
-
-void HpimDmRouter::invalidate_mfc(const SgKey& key) {
-  mfc_.invalidate(flow_key(key.source, key.group));
-}
-
-// ---------------------------------------------------------------------------
-// Data plane
-
-void HpimDmRouter::on_multicast_data(const ParsedDatagram& d,
-                                     const Packet& pkt, IfaceId iface) {
+void HpimDmRouter::on_cache_miss(const ParsedDatagram& d, const Packet& pkt,
+                                 IfaceId iface) {
   const Address& src = d.hdr.src;
   const Address& group = d.hdr.dst;
-  if (src.is_multicast() || src.is_unspecified()) return;
-
-  if (config_.mfc) {
-    // The arrival interface's mifi selects the cache sub-table, so
-    // wrong-interface arrivals miss and fall through to the slow path,
-    // same as before sharding.
-    const Mifi rpf = mifs_.lookup(iface);
-    MfcEntry* m = rpf != kNoMif ? mfc_.find(flow_key(src, group), rpf)
-                                : nullptr;
-    if (m != nullptr && iface == m->iif) {
-      c_mfc_hit_.add();
-      c_mfc_shard_hit_[rpf].add();
-      auto* entry = static_cast<SgEntry*>(m->state);
-      entry->entry_timer->extend(config_.data_timeout);
-      c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
-      return;
-    }
-    c_mfc_miss_.add();
-    if (rpf != kNoMif) c_mfc_shard_miss_[rpf].add();
-  }
-
   SgEntry* e = find_entry(src, group);
   if (e == nullptr) {
     e = create_entry(src, group);
@@ -502,7 +414,8 @@ void HpimDmRouter::on_multicast_data(const ParsedDatagram& d,
       e->assert_winner_addr = Address();
       e->downstream.erase(iface);
       e->my_interest.reset();
-      invalidate_mfc(*e);  // cached iif/bitmap are both stale now
+      // The cached iif and bitmap are both stale now.
+      data_plane_.invalidate(src, group);
       count("hpimdm/rpf-updated");
       recompute_interest(*e);
     }
@@ -523,22 +436,10 @@ void HpimDmRouter::on_multicast_data(const ParsedDatagram& d,
   }
 
   e->entry_timer->extend(config_.data_timeout);
-  if (config_.mfc) {
-    if (MfcEntry* m = refill_mfc(*e)) {
-      c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
-      return;
-    }
-    // Nothing downstream: tell the upstream once, reliably.
-    recompute_interest(*e, false);
-    return;
-  }
-  std::vector<IfaceId> oifs = oiflist(*e);
-  if (oifs.empty() && !is_local_receiver(e->group)) {
-    // Nothing downstream: tell the upstream once, reliably.
-    recompute_interest(*e, false);
-    return;
-  }
-  c_data_fwd_.add(stack_->forward_out_many(pkt, oifs));
+  if (data_plane_.refill_and_forward(pkt, src, group)) return;
+  // Nothing downstream: tell the upstream once, reliably. Uncached, so
+  // every datagram of this state comes back here.
+  recompute_interest(*e, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -671,8 +572,8 @@ HpimDmRouter::NeighborChannel& HpimDmRouter::ensure_channel(
         if (c != nullptr && c->sync_pending) send_sync(iface, nbr);
       }, stack_->node().domain());
   it = st.neighbors.emplace(nbr, std::move(ch)).first;
-  mfc_.invalidate_all();  // a new (unknown-interest) neighbor turns
-                          // interfaces forwarding
+  // A new (unknown-interest) neighbor turns interfaces forwarding.
+  data_plane_.invalidate_all();
   count("hpimdm/neighbor-up");
   trace_event("neighbor-up", [&] {
     return "iface=" + std::to_string(iface) + " nbr=" + nbr.str();
@@ -689,8 +590,8 @@ void HpimDmRouter::neighbor_failed(IfaceId iface, const Address& nbr,
   auto it = ifaces_.find(iface);
   if (it == ifaces_.end()) return;
   if (it->second.neighbors.erase(nbr) == 0) return;
-  mfc_.invalidate_all();  // the neighbor set feeds every entry's oif set
-                          // on this iface
+  // The neighbor set feeds every entry's oif set on this iface.
+  data_plane_.invalidate_all();
   count("hpimdm/neighbor-expired");
   trace_event("neighbor-expired", [&, why] {
     return "iface=" + std::to_string(iface) + " nbr=" + nbr.str() + " (" +
@@ -809,7 +710,7 @@ void HpimDmRouter::on_assert(const HpimAssert& a, const Address& from,
   }
   if (they_win) {
     d.assert_loser = true;
-    invalidate_mfc(*e);
+    data_plane_.invalidate(a.source, a.group);
     count("hpimdm/assert-lost");
     trace_event("assert-lost", [&] {
       return "src=" + e->source.str() + " group=" + e->group.str() +
@@ -824,7 +725,7 @@ void HpimDmRouter::on_assert(const HpimAssert& a, const Address& from,
             auto dit = en->downstream.find(iface);
             if (dit != en->downstream.end()) {
               dit->second->assert_loser = false;
-              invalidate_mfc(key);
+              data_plane_.invalidate(key.source, key.group);
             }
           }, stack_->node().domain());
     }
@@ -849,7 +750,7 @@ void HpimDmRouter::on_mld_change(IfaceId iface, const Address& group,
   for (auto& [key, e] : entries_) {
     if (key.group != group) continue;
     if (present && iface != e->incoming) downstream(*e, iface);
-    invalidate_mfc(*e);
+    data_plane_.invalidate(key.source, key.group);
     recompute_interest(*e);
   }
 }

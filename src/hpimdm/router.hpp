@@ -42,7 +42,6 @@
 #include "hpimdm/messages.hpp"
 #include "ipv6/stack.hpp"
 #include "mld/router.hpp"
-#include "net/mfc.hpp"
 #include "pimdm/dense_engine.hpp"
 #include "sim/timer.hpp"
 
@@ -77,7 +76,6 @@ class HpimDmRouter : public DenseModeEngine {
   bool is_local_receiver(const Address& group) const override;
 
   std::size_t entry_count() const override { return entries_.size(); }
-  std::size_t mfc_entries() const override { return mfc_.size(); }
   /// Unacked control messages queued across every neighbor channel. A
   /// healthy channel drains to zero after convergence; the chaos-search
   /// retx-backlog watchdog samples this.
@@ -160,9 +158,13 @@ class HpimDmRouter : public DenseModeEngine {
     std::unique_ptr<Timer> entry_timer;  // data timeout
   };
 
+  // DenseDataPlane::Engine: the data plane's slow path and oif walk.
+  void on_cache_miss(const ParsedDatagram& d, const Packet& pkt,
+                     IfaceId iface) override;
+  bool describe_flow(const Address& src, const Address& group,
+                     DenseDataPlane::Flow& flow) const override;
+
   // Entry points.
-  void on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
-                         IfaceId iface);
   void on_hpim_message(const ParsedDatagram& d, IfaceId iface);
   void on_hello(const HpimHello& hello, const Address& from, IfaceId iface);
   void on_ack(const HpimAck& ack, const Address& from, IfaceId iface);
@@ -177,10 +179,9 @@ class HpimDmRouter : public DenseModeEngine {
   SgEntry* create_entry(const Address& src, const Address& group);
   void delete_entry(const SgKey& key);
   Downstream& downstream(SgEntry& e, IfaceId iface);
-  std::vector<IfaceId> oiflist(const SgEntry& e) const;
-  /// The oiflist() membership predicate for one downstream interface.
+  /// Whether the entry forwards onto one downstream interface.
   bool oif_active(const SgEntry& e, IfaceId iface, const Downstream& d) const;
-  /// Allocation-free "is this interface in oiflist(e)?".
+  /// Allocation-free "is this interface in the entry's oif set?".
   bool in_oiflist(const SgEntry& e, IfaceId iface) const;
   bool wants_traffic(const SgEntry& e) const;
   /// Declares interest upstream iff the wanted state flipped (or was never
@@ -189,22 +190,6 @@ class HpimDmRouter : public DenseModeEngine {
   /// Variant taking the already-computed wants_traffic() result so the
   /// data path never evaluates the oif set twice for one packet.
   void recompute_interest(SgEntry& e, bool wants);
-
-  // MFC layer (config_.mfc): dense interface indices, precomputed oif
-  // bitmaps and the (S,G) flow cache the data path consults first.
-  static FlowKey flow_key(const Address& src, const Address& group);
-  /// Registers `iface` in the mif table; a renumbering insertion flushes
-  /// the whole cache (bitmaps built under the old numbering are garbage).
-  Mifi mif_of(IfaceId iface);
-  /// Re-resolves the per-RPF-iface hit/miss cells after a mif-table
-  /// change (cold path: string work happens here, never per packet).
-  void rebuild_mfc_cells();
-  /// Recomputes e's bitmap and installs it; nullptr when the entry is not
-  /// cacheable (empty oif set and no local receiver: that path stays
-  /// per-packet because it carries the reliable no-interest declaration).
-  MfcEntry* refill_mfc(SgEntry& e);
-  void invalidate_mfc(const SgEntry& e);
-  void invalidate_mfc(const SgKey& key);
   void apply_interest(const Address& from, IfaceId iface, const Address& src,
                       const Address& group, bool interested);
 
@@ -254,21 +239,8 @@ class HpimDmRouter : public DenseModeEngine {
   MldRouter* mld_;
   HpimDmConfig config_;
   std::string component_;  // "hpimdm/<node>", cached for trace records
-  /// Cell for the per-fan-out "hpimdm/data-fwd" counter, resolved once.
-  CounterCell c_data_fwd_;
-  /// Flow-cache hit/miss cells, resolved once (hot path, no string work).
-  CounterCell c_mfc_hit_;
-  CounterCell c_mfc_miss_;
   /// "hpimdm/rx-wrong-iface": every data arrival off the RPF interface.
   CounterCell c_wrong_iface_;
-  /// Per-RPF-interface hit/miss cells ("hpimdm/mfc-hit.if<id>"), index =
-  /// mifi. Rebuilt by mif_of() whenever the mif table renumbers, so the
-  /// hot path never does string work.
-  std::vector<CounterCell> c_mfc_shard_hit_;
-  std::vector<CounterCell> c_mfc_shard_miss_;
-  /// Dense interface indices + per-RPF-iface (S,G) flow cache bank.
-  MifTable mifs_;
-  ShardedFlowCache mfc_;
   std::uint32_t generation_id_ = 0;
   /// Every interface enable_iface() was ever called for (restart wiring).
   std::set<IfaceId> configured_;

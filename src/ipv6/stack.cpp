@@ -443,33 +443,11 @@ bool Ipv6Stack::forward_out(const Packet& pkt, IfaceId out_iface) {
   return true;
 }
 
-std::size_t Ipv6Stack::forward_out_many(const Packet& pkt,
-                                        const std::vector<IfaceId>& oifs) {
-  if (oifs.empty()) return 0;
-  // One decremented copy shared by every outgoing replica: each interface's
-  // transmit only bumps the buffer's reference count. The per-oif copy the
-  // naive loop made was the hottest allocation in multicast-heavy runs.
-  Packet fwd = pkt;
-  if (!rewrite_decremented(fwd)) {
-    count("ipv6/fwd-drop/hop-limit");
-    return 0;
-  }
-  std::size_t sent = 0;
-  for (IfaceId oif : oifs) {
-    Interface* i = iface_ptr(oif);
-    if (!i->attached()) {
-      count("ipv6/tx-drop/detached");
-      continue;
-    }
-    i->send(fwd);
-    ++sent;
-  }
-  return sent;
-}
-
 std::size_t Ipv6Stack::forward_out_many(const Packet& pkt, const IfSet& oifs,
                                         const MifTable& mifs) {
   if (oifs.empty()) return 0;
+  // One decremented copy shared by every outgoing replica: each interface's
+  // transmit only bumps the buffer's reference count.
   Packet fwd = pkt;
   if (!rewrite_decremented(fwd)) {
     count("ipv6/fwd-drop/hop-limit");

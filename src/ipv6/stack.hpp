@@ -120,8 +120,8 @@ class Ipv6Stack : public ProtocolModule {
   Rib& rib() { return rib_; }
   const Rib& rib() const { return rib_; }
 
-  /// Installed by PIM-DM: called for every non-link-scope multicast
-  /// datagram received on a forwarding node.
+  /// Installed by the dense-mode data plane: called for every
+  /// non-link-scope multicast datagram received on a forwarding node.
   using McastForwarder =
       std::function<void(const ParsedDatagram&, const Packet&, IfaceId)>;
   void set_mcast_forwarder(McastForwarder f) { mcast_forwarder_ = std::move(f); }
@@ -132,17 +132,12 @@ class Ipv6Stack : public ProtocolModule {
   /// the hop limit ran out or the interface is detached.
   bool forward_out(const Packet& pkt, IfaceId out_iface);
 
-  /// Fan-out variant: decrements the hop limit ONCE and shares the same
-  /// rewritten buffer across every outgoing interface, so replicating to N
-  /// links costs one buffer copy instead of N. Returns the number of
-  /// interfaces actually transmitted on (detached ones are skipped).
-  std::size_t forward_out_many(const Packet& pkt,
-                               const std::vector<IfaceId>& oifs);
-
-  /// Bitmap variant for precomputed MFC entries: iterates the set bits of
-  /// `oifs` (mifi order == ascending IfaceId order by MifTable contract,
-  /// so transmission order matches the vector overload) and shares one
-  /// hop-limit-decremented buffer across every replica. Allocation-free.
+  /// Fan-out variant for precomputed MFC entries: decrements the hop
+  /// limit ONCE and shares the rewritten buffer across every interface in
+  /// `oifs`, so replicating to N links costs one buffer copy instead of N.
+  /// Set bits are visited in mifi order, which is ascending IfaceId order
+  /// by MifTable contract. Returns the number of interfaces actually
+  /// transmitted on (detached ones are skipped). Allocation-free.
   std::size_t forward_out_many(const Packet& pkt, const IfSet& oifs,
                                const MifTable& mifs);
 

@@ -25,7 +25,6 @@ Mifi MifTable::add(IfaceId iface) {
     throw LogicError("MifTable: interface count exceeds configured width");
   }
   it = ifaces_.insert(it, iface);
-  ++version_;
   return static_cast<Mifi>(it - ifaces_.begin());
 }
 

@@ -5,14 +5,15 @@
 // protocol state machines at all.
 //
 // Division of labour: this layer is pure bookkeeping — it never decides
-// *what* the oif set is. The dense-mode engines (PIM-DM / HPIM-DM) compute
-// bitmaps once per state change and install them here; every control-plane
-// transition that can change an oif set invalidates the affected entries
-// (or the whole cache). Stale entries are invisible to find(), so a missed
-// refill only costs a slow-path packet, never a wrong forwarding decision —
-// but a missed *invalidation* is a stale-cache blackhole, which is why the
-// invalidation rules are regression-tested against the cache-off data plane
-// (docs/PERF.md "MFC bitmaps and the (S,G) flow cache").
+// *what* the oif set is. The dense-mode data plane (pimdm/dense_data_plane)
+// installs bitmaps the engines describe, and every control-plane transition
+// that can change an oif set invalidates the affected entries (or the whole
+// cache). Stale entries are invisible to find(), so a missed refill only
+// costs a slow-path packet, never a wrong forwarding decision — but a missed
+// *invalidation* is a stale-cache misforward, which is why a coherence check
+// compares every fresh entry with the engine state at every frame of the
+// regression runs (docs/PERF.md "The multicast data plane forwards through
+// the MFC").
 //
 // Determinism contract: MifTable keeps its dense indices sorted by IfaceId
 // (insertions renumber, legal because any insertion already forces a cache
@@ -27,6 +28,8 @@
 #include "net/interface.hpp"
 
 namespace mip6 {
+
+class Timer;
 
 /// Dense per-router interface index ("mifi_t"): the bit position of an
 /// interface in an IfSet.
@@ -51,6 +54,7 @@ class IfSet {
   void reset() { words_[0] = words_[1] = words_[2] = words_[3] = 0; }
   /// Raw word access for set-bit iteration (see forward_out_many).
   std::uint64_t word(std::size_t w) const { return words_[w]; }
+  friend bool operator==(const IfSet&, const IfSet&) = default;
 
  private:
   std::uint64_t words_[kWords] = {};
@@ -59,8 +63,7 @@ class IfSet {
 /// Dense interface index assignment, sorted by IfaceId. lookup() is a
 /// binary search over a flat array (at most a handful of entries per
 /// router); add() keeps the array sorted, renumbering later indices — the
-/// caller must flush any bitmaps built under the old numbering, which
-/// version() makes detectable.
+/// caller must flush any bitmaps built under the old numbering.
 class MifTable {
  public:
   /// `max_ifaces` is the fail-fast width budget: registering more
@@ -75,13 +78,10 @@ class MifTable {
   Mifi lookup(IfaceId iface) const;
   IfaceId iface(Mifi m) const { return ifaces_[m]; }
   std::size_t size() const { return ifaces_.size(); }
-  /// Bumped by every renumbering insertion.
-  std::uint64_t version() const { return version_; }
 
  private:
   std::vector<IfaceId> ifaces_;  // sorted ascending; index == mifi
   std::size_t max_;
-  std::uint64_t version_ = 0;
 };
 
 /// (S,G) cache key as raw 64-bit halves of the two addresses — keeps this
@@ -96,18 +96,16 @@ struct FlowKey {
 };
 
 /// One precomputed forwarding decision: everything the data path needs to
-/// replicate a datagram without touching protocol state. `state` is the
-/// owning engine's (S,G) entry (opaque here); it is only dereferenced on
-/// fresh entries, and every path that can destroy an entry invalidates or
-/// clears the cache first.
+/// replicate a datagram without touching protocol state. `data_timeout` is
+/// the owning (S,G) entry's data-timeout timer, restarted per forwarded
+/// datagram; it is only dereferenced on fresh entries, and every path that
+/// can destroy an entry invalidates or clears the cache first.
 struct MfcEntry {
   FlowKey key;
   std::uint64_t epoch = 0;  // 0 = never valid; != cache epoch = stale
   IfaceId iif = 0;
-  std::uint16_t oif_count = 0;
-  bool local_receiver = false;
   IfSet oifs;
-  void* state = nullptr;
+  Timer* data_timeout = nullptr;
 };
 
 /// Open-addressed (S,G) -> MfcEntry map with epoch invalidation: slots are
@@ -131,7 +129,13 @@ class FlowCache {
   void clear();
   /// Occupied slots, stale ones included.
   std::size_t size() const { return used_; }
-  std::uint64_t epoch() const { return epoch_; }
+  /// Calls `fn(entry)` for every fresh entry (audits; not a data path).
+  template <typename Fn>
+  void for_each_fresh(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.used && s.entry.epoch == epoch_) fn(s.entry);
+    }
+  }
 
  private:
   struct Slot {
@@ -189,6 +193,14 @@ class ShardedFlowCache {
   /// Occupied slots in one sub-table (0 for a never-used mifi).
   std::size_t shard_size(Mifi rpf) const {
     return rpf < shards_.size() ? shards_[rpf].size() : 0;
+  }
+  /// Calls `fn(rpf, entry)` for every fresh entry of every sub-table.
+  template <typename Fn>
+  void for_each_fresh(Fn&& fn) const {
+    for (std::size_t r = 0; r < shards_.size(); ++r) {
+      shards_[r].for_each_fresh(
+          [&](const MfcEntry& e) { fn(static_cast<Mifi>(r), e); });
+    }
   }
 
  private:

@@ -3,7 +3,7 @@
 // 210 s (paper §3.1), Prune Delay Time 3 s (paper §4.3.1), etc.
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
 
 #include "sim/time.hpp"
 
@@ -42,15 +42,6 @@ struct PimDmConfig {
   /// the ABL3 bench quantifies what it buys.
   bool state_refresh = false;
   Time state_refresh_interval = Time::sec(60);
-
-  /// Bitmap MFC entries + (S,G) flow cache on the data path (see
-  /// docs/PERF.md). Off = the pre-cache per-packet oiflist walk, kept for
-  /// A/B regression runs; every same-seed trace must be byte-identical
-  /// either way.
-  bool mfc = true;
-  /// Fail-fast width budget for the dense interface index table (clamped
-  /// to IfSet::kBits): enabling more interfaces than this throws.
-  std::size_t mfc_max_ifaces = 256;
 };
 
 }  // namespace mip6

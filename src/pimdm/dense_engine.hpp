@@ -7,9 +7,12 @@
 // and benches — talks to this interface so a ScenarioSpec can swap engines
 // without touching the rest of the simulation.
 //
-// The data path is NOT behind these virtuals: each engine installs its own
-// multicast-forwarder hook directly on the Ipv6Stack, so the engine
-// abstraction adds zero cost per forwarded packet (bench_scale parity).
+// The data path is NOT behind these virtuals: the base owns the one
+// DenseDataPlane both engines forward through, which installs the
+// multicast-forwarder hook directly on the Ipv6Stack and serves cache hits
+// without calling into the engine. An engine implements the data plane's
+// miss dispatch and oif walk (DenseDataPlane::Engine) and invalidates the
+// cache on every state change that can alter a forwarding decision.
 #pragma once
 
 #include <cstddef>
@@ -18,10 +21,12 @@
 #include "ipv6/address.hpp"
 #include "net/interface.hpp"
 #include "net/protocol_module.hpp"
+#include "pimdm/dense_data_plane.hpp"
 
 namespace mip6 {
 
-class DenseModeEngine : public ProtocolModule {
+class DenseModeEngine : public ProtocolModule,
+                        private DenseDataPlane::Engine {
  public:
   /// Key of one (S,G) forwarding entry. Shared by both engines so auditor
   /// maps and bench tables can mix keys from different routers.
@@ -45,9 +50,11 @@ class DenseModeEngine : public ProtocolModule {
 
   // --- Introspection for the auditor, metrics and benches ----------------
   virtual std::size_t entry_count() const = 0;
+  /// The data plane the engine forwards through (coherence checks).
+  const DenseDataPlane& data_plane() const { return data_plane_; }
   /// Occupied (S,G) flow-cache slots, stale entries included — the chaos
   /// watchdogs compare this against a fault-free oracle to catch leaks.
-  virtual std::size_t mfc_entries() const = 0;
+  std::size_t mfc_entries() const { return data_plane_.cache_slots(); }
   /// Keys of every live (S,G) entry (auditor walks these).
   virtual std::vector<SgKey> sg_keys() const = 0;
   virtual bool has_entry(const Address& src, const Address& group) const = 0;
@@ -72,6 +79,14 @@ class DenseModeEngine : public ProtocolModule {
   virtual bool downstream_pruned(const Address& src, const Address& group,
                                  IfaceId iface) const = 0;
   virtual std::vector<Address> neighbors(IfaceId iface) const = 0;
+
+ protected:
+  /// `kind` prefixes the data plane's counters; `data_timeout` is what a
+  /// forwarded datagram restarts an entry's data timeout to.
+  DenseModeEngine(Ipv6Stack& stack, std::string_view kind, Time data_timeout)
+      : data_plane_(stack, *this, kind, data_timeout) {}
+
+  DenseDataPlane data_plane_;
 };
 
 }  // namespace mip6

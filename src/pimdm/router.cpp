@@ -7,18 +7,11 @@
 namespace mip6 {
 
 PimDmRouter::PimDmRouter(Ipv6Stack& stack, MldRouter& mld, PimDmConfig config)
-    : stack_(&stack), mld_(&mld), config_(config),
+    : DenseModeEngine(stack, "pimdm", config.data_timeout),
+      stack_(&stack), mld_(&mld), config_(config),
       component_("pimdm/" + stack.node().name()),
-      c_data_fwd_(stack.network().counters().cell("pimdm/data-fwd")),
-      c_mfc_hit_(stack.network().counters().cell("pimdm/mfc-hit")),
-      c_mfc_miss_(stack.network().counters().cell("pimdm/mfc-miss")),
       c_wrong_iface_(
-          stack.network().counters().cell("pimdm/rx-wrong-iface")),
-      mifs_(config_.mfc_max_ifaces) {
-  stack.set_mcast_forwarder(
-      [this](const ParsedDatagram& d, const Packet& pkt, IfaceId iface) {
-        on_multicast_data(d, pkt, iface);
-      });
+          stack.network().counters().cell("pimdm/rx-wrong-iface")) {
   stack.set_proto_handler(
       proto::kPim,
       [this](const ParsedDatagram& d, const Packet&, IfaceId iface) {
@@ -47,7 +40,7 @@ void PimDmRouter::stop() {
 
 void PimDmRouter::enable_iface(IfaceId iface) {
   configured_.insert(iface);
-  if (config_.mfc) mif_of(iface);  // fail-fast on width overflow
+  data_plane_.add_iface(iface);  // fail-fast on width overflow
   auto [it, fresh] = ifaces_.try_emplace(iface);
   if (!fresh) return;
   it->second.hello_timer = std::make_unique<Timer>(
@@ -65,7 +58,7 @@ void PimDmRouter::shutdown() {
   entries_.clear();
   ifaces_.clear();
   local_receivers_.clear();
-  mfc_.clear();  // entry pointers just dangled
+  data_plane_.clear();  // entry timers just dangled
   count("pimdm/shutdown");
 }
 
@@ -82,7 +75,7 @@ void PimDmRouter::add_local_receiver(const Address& group) {
   // Existing pruned entries for this group must be re-grafted.
   for (auto& [key, e] : entries_) {
     if (key.group != group) continue;
-    invalidate_mfc(*e);
+    data_plane_.invalidate(key.source, key.group);
     check_upstream(*e);
   }
 }
@@ -94,7 +87,7 @@ void PimDmRouter::remove_local_receiver(const Address& group) {
     local_receivers_.erase(it);
     for (auto& [key, e] : entries_) {
       if (key.group != group) continue;
-      invalidate_mfc(*e);
+      data_plane_.invalidate(key.source, key.group);
       check_upstream(*e);
     }
   }
@@ -140,9 +133,13 @@ bool PimDmRouter::assert_loser(const Address& src, const Address& group,
 
 std::vector<IfaceId> PimDmRouter::outgoing(const Address& src,
                                            const Address& group) const {
+  std::vector<IfaceId> out;
   const SgEntry* e = find_entry(src, group);
-  if (e == nullptr) return {};
-  return oiflist(*e);
+  if (e == nullptr) return out;
+  for (const auto& [iface, d] : e->downstream) {
+    if (oif_active(*e, iface, *d)) out.push_back(iface);
+  }
+  return out;
 }
 
 IfaceId PimDmRouter::incoming(const Address& src, const Address& group) const {
@@ -239,7 +236,7 @@ PimDmRouter::SgEntry* PimDmRouter::create_entry(const Address& src,
       }, stack_->node().domain());
   // Dense mode: initially forward onto every PIM interface (except the
   // incoming one). Interfaces without PIM neighbors contribute to the oif
-  // list only via MLD listeners — see oiflist().
+  // list only via MLD listeners — see oif_active().
   for (const auto& [iface, st] : ifaces_) {
     if (iface == e->incoming) continue;
     e->downstream.emplace(iface, std::make_unique<Downstream>());
@@ -266,7 +263,8 @@ PimDmRouter::SgEntry* PimDmRouter::create_entry(const Address& src,
 }
 
 void PimDmRouter::delete_entry(const SgKey& key) {
-  invalidate_mfc(key);  // before erase: the cached state pointer dies here
+  // Before erase: the cached data-timeout pointer dies here.
+  data_plane_.invalidate(key.source, key.group);
   if (entries_.erase(key) > 0) {
     count("pimdm/sg-expired");
     trace_event("sg-expired", [&] {
@@ -281,7 +279,7 @@ PimDmRouter::Downstream& PimDmRouter::downstream(SgEntry& e, IfaceId iface) {
     it = e.downstream.emplace(iface, std::make_unique<Downstream>()).first;
     // A freshly materialized record can join the oif set (it starts in
     // kForwarding, the dense-mode default).
-    invalidate_mfc(e);
+    data_plane_.invalidate(e.source, e.group);
   }
   return *it->second;
 }
@@ -294,14 +292,6 @@ bool PimDmRouter::oif_active(const SgEntry& e, IfaceId iface,
   // neighbors exist and have not pruned.
   return mld_->has_listeners(iface, e.group) ||
          ((d.state != DownstreamState::kPruned) && has_neighbors(iface));
-}
-
-std::vector<IfaceId> PimDmRouter::oiflist(const SgEntry& e) const {
-  std::vector<IfaceId> out;
-  for (const auto& [iface, d] : e.downstream) {
-    if (oif_active(e, iface, *d)) out.push_back(iface);
-  }
-  return out;
 }
 
 bool PimDmRouter::in_oiflist(const SgEntry& e, IfaceId iface) const {
@@ -331,107 +321,25 @@ void PimDmRouter::check_upstream(SgEntry& e, bool wants) {
 }
 
 // ---------------------------------------------------------------------------
-// MFC layer
+// Data plane (slow path)
 
-FlowKey PimDmRouter::flow_key(const Address& src, const Address& group) {
-  return FlowKey{{src.high64(), src.low64(), group.high64(), group.low64()}};
-}
-
-Mifi PimDmRouter::mif_of(IfaceId iface) {
-  Mifi m = mifs_.lookup(iface);
-  if (m != kNoMif) return m;
-  m = mifs_.add(iface);
-  // The insertion renumbered every later index: bitmaps built under the
-  // old numbering would transmit out the wrong interfaces, and the
-  // per-mifi counter cells point at the wrong interface's counters.
-  mfc_.invalidate_all();
-  rebuild_mfc_cells();
-  return m;
-}
-
-void PimDmRouter::rebuild_mfc_cells() {
-  c_mfc_shard_hit_.clear();
-  c_mfc_shard_miss_.clear();
-  auto& reg = stack_->network().counters();
-  for (Mifi m = 0; m < mifs_.size(); ++m) {
-    const std::string suffix = ".if" + std::to_string(mifs_.iface(m));
-    c_mfc_shard_hit_.push_back(reg.cell("pimdm/mfc-hit" + suffix));
-    c_mfc_shard_miss_.push_back(reg.cell("pimdm/mfc-miss" + suffix));
+bool PimDmRouter::describe_flow(const Address& src, const Address& group,
+                                DenseDataPlane::Flow& flow) const {
+  const SgEntry* e = find_entry(src, group);
+  if (e == nullptr) return false;
+  flow.iif = e->incoming;
+  flow.data_timeout = e->entry_timer.get();
+  flow.local_receiver = is_local_receiver(group);
+  for (const auto& [iface, d] : e->downstream) {
+    flow.downstream.emplace_back(iface, oif_active(*e, iface, *d));
   }
+  return true;
 }
 
-MfcEntry* PimDmRouter::refill_mfc(SgEntry& e) {
-  // Two passes: register every candidate interface first (registration can
-  // renumber and flush the cache), then build the bitmap under the final
-  // numbering. The RPF interface is registered too — it selects the
-  // cache sub-table the fast path will probe on arrival.
-  for (const auto& [iface, d] : e.downstream) (void)mif_of(iface);
-  (void)mif_of(e.incoming);
-  IfSet set;
-  std::uint16_t n = 0;
-  for (const auto& [iface, d] : e.downstream) {
-    if (!oif_active(e, iface, *d)) continue;
-    set.set(mifs_.lookup(iface));
-    ++n;
-  }
-  bool local = is_local_receiver(e.group);
-  if (n == 0 && !local) {
-    // Not cacheable: this state carries the rate-limited upstream
-    // self-prune, which must keep running per packet.
-    invalidate_mfc(e);
-    return nullptr;
-  }
-  MfcEntry& m = mfc_.insert(flow_key(e.source, e.group),
-                            mifs_.lookup(e.incoming));
-  m.iif = e.incoming;
-  m.oif_count = n;
-  m.local_receiver = local;
-  m.oifs = set;
-  m.state = &e;
-  return &m;
-}
-
-void PimDmRouter::invalidate_mfc(const SgEntry& e) {
-  mfc_.invalidate(flow_key(e.source, e.group));
-}
-
-void PimDmRouter::invalidate_mfc(const SgKey& key) {
-  mfc_.invalidate(flow_key(key.source, key.group));
-}
-
-// ---------------------------------------------------------------------------
-// Data plane
-
-void PimDmRouter::on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
-                                    IfaceId iface) {
-  // PIM control traffic also arrives here (it is multicast to ff02::d), but
-  // link-scope groups are filtered before the forwarder hook; only routable
-  // group data reaches this point.
+void PimDmRouter::on_cache_miss(const ParsedDatagram& d, const Packet& pkt,
+                                IfaceId iface) {
   const Address& src = d.hdr.src;
   const Address& group = d.hdr.dst;
-  if (src.is_multicast() || src.is_unspecified()) return;
-
-  if (config_.mfc) {
-    // Fast path: a fresh flow-cache entry holds the whole forwarding
-    // decision; the state machines below are only consulted on a miss.
-    // The arrival interface's mifi selects the cache sub-table, so
-    // wrong-interface arrivals miss and fall through (assert / non-RPF
-    // prune handling is control-plane work, same as before sharding).
-    const Mifi rpf = mifs_.lookup(iface);
-    MfcEntry* m = rpf != kNoMif ? mfc_.find(flow_key(src, group), rpf)
-                                : nullptr;
-    if (m != nullptr && iface == m->iif) {
-      c_mfc_hit_.add();
-      c_mfc_shard_hit_[rpf].add();
-      auto* e = static_cast<SgEntry*>(m->state);
-      e->entry_timer->extend(config_.data_timeout);
-      c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
-      return;
-    }
-    c_mfc_miss_.add();
-    if (rpf != kNoMif) c_mfc_shard_miss_[rpf].add();
-  }
-
   SgEntry* e = find_entry(src, group);
   if (e == nullptr) {
     e = create_entry(src, group);
@@ -452,7 +360,8 @@ void PimDmRouter::on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
       e->assert_winner_metric = route->metric;
       e->assert_winner_addr = Address();
       e->downstream.erase(iface);  // the new incoming iface is not an oif
-      invalidate_mfc(*e);          // cached iif/bitmap are both stale now
+      // The cached iif and bitmap are both stale now.
+      data_plane_.invalidate(src, group);
       count("pimdm/rpf-updated");
     }
   }
@@ -492,36 +401,17 @@ void PimDmRouter::on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
   }
 
   e->entry_timer->extend(config_.data_timeout);
-  if (config_.mfc) {
-    // Miss path: recompute the bitmap once, install it, forward. The next
-    // packet of this flow hits the cache until a control-plane transition
-    // invalidates it.
-    if (MfcEntry* m = refill_mfc(*e)) {
-      c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
-      return;
-    }
-    // Nothing downstream: prune ourselves off the tree (rate-limited; on a
-    // LAN the upstream may keep transmitting because a sibling overrode).
-    // Deliberately uncached so the rate limiter keeps seeing every packet.
-    if (!e->rpf_neighbor.is_unspecified() &&
-        (e->last_prune_tx.is_never() ||
-         now() - e->last_prune_tx >= config_.prune_hold_time)) {
-      send_prune_upstream(*e);
-    }
-    return;
+  // Install the entry's oif bitmap and forward: the next packet of this
+  // flow hits the cache until a control-plane transition invalidates it.
+  if (data_plane_.refill_and_forward(pkt, src, group)) return;
+  // Nothing downstream: prune ourselves off the tree (rate-limited; on a
+  // LAN the upstream may keep transmitting because a sibling overrode).
+  // Deliberately uncached so the rate limiter keeps seeing every packet.
+  if (!e->rpf_neighbor.is_unspecified() &&
+      (e->last_prune_tx.is_never() ||
+       now() - e->last_prune_tx >= config_.prune_hold_time)) {
+    send_prune_upstream(*e);
   }
-  std::vector<IfaceId> oifs = oiflist(*e);
-  if (oifs.empty() && !is_local_receiver(e->group)) {
-    if (!e->rpf_neighbor.is_unspecified() &&
-        (e->last_prune_tx.is_never() ||
-         now() - e->last_prune_tx >= config_.prune_hold_time)) {
-      send_prune_upstream(*e);
-    }
-    return;
-  }
-  // One hop-limit-decremented buffer shared by every replica; see
-  // Ipv6Stack::forward_out_many.
-  c_data_fwd_.add(stack_->forward_out_many(pkt, oifs));
 }
 
 // ---------------------------------------------------------------------------
@@ -592,7 +482,7 @@ void PimDmRouter::on_hello(const PimHello& hello, const Address& from,
         stack_->scheduler(), [this, iface, from] {
           ifaces_.at(iface).neighbors.erase(from);
           // has_neighbors() feeds every entry's oif set on this iface.
-          mfc_.invalidate_all();
+          data_plane_.invalidate_all();
           count("pimdm/neighbor-expired");
           trace_event("neighbor-expired", [&] {
             return "iface=" + std::to_string(iface) + " nbr=" + from.str();
@@ -600,7 +490,7 @@ void PimDmRouter::on_hello(const PimHello& hello, const Address& from,
         }, stack_->node().domain());
     timer->arm(Time::sec(hello.holdtime));
     st.neighbors.emplace(from, std::move(timer));
-    mfc_.invalidate_all();  // a new neighbor turns interfaces forwarding
+    data_plane_.invalidate_all();  // a new neighbor turns ifaces forwarding
     count("pimdm/neighbor-up");
     trace_event("neighbor-up", [&] {
       return "iface=" + std::to_string(iface) + " nbr=" + from.str();
@@ -647,7 +537,7 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
                   Downstream& dd = downstream(*entry, iface);
                   if (dd.state != DownstreamState::kPrunePending) return;
                   dd.state = DownstreamState::kPruned;
-                  invalidate_mfc(key);
+                  data_plane_.invalidate(key.source, key.group);
                   count("pimdm/iface-pruned");
                   trace_event("iface-pruned", [&] {
                     return "src=" + key.source.str() + " group=" +
@@ -679,7 +569,7 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
                           Downstream& x = downstream(*en, iface);
                           if (x.state == DownstreamState::kPruned) {
                             x.state = DownstreamState::kForwarding;
-                            invalidate_mfc(key);
+                            data_plane_.invalidate(key.source, key.group);
                             count("pimdm/prune-expired");
                             // Downstream interest is presumed again; if we
                             // had pruned ourselves upstream meanwhile, we
@@ -717,7 +607,7 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
         if (d.state == DownstreamState::kPrunePending) {
           d.prune_pending_timer->cancel();
           d.state = DownstreamState::kForwarding;
-          invalidate_mfc(*e);
+          data_plane_.invalidate(src, g.group);
           count("pimdm/prune-overridden");
           trace_event("prune-overridden", [&] {
             return "src=" + src.str() + " group=" + g.group.str() +
@@ -726,7 +616,7 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
         } else if (d.state == DownstreamState::kPruned) {
           if (d.prune_expiry_timer) d.prune_expiry_timer->cancel();
           d.state = DownstreamState::kForwarding;
-          invalidate_mfc(*e);
+          data_plane_.invalidate(src, g.group);
         }
       } else if (iface == e->incoming) {
         // Someone else already sent the override; suppress ours.
@@ -752,7 +642,7 @@ void PimDmRouter::on_graft(const PimJoinPrune& graft, const Address& from,
       if (d.prune_pending_timer) d.prune_pending_timer->cancel();
       if (d.prune_expiry_timer) d.prune_expiry_timer->cancel();
       d.state = DownstreamState::kForwarding;
-      invalidate_mfc(*e);
+      data_plane_.invalidate(src, g.group);
       count("pimdm/graft-processed");
       check_upstream(*e);  // cascade the graft upstream if we had pruned
     }
@@ -819,7 +709,7 @@ void PimDmRouter::on_assert(const PimAssert& a, const Address& from,
   }
   if (they_win) {
     d.assert_loser = true;
-    invalidate_mfc(*e);
+    data_plane_.invalidate(a.source, a.group);
     count("pimdm/assert-lost");
     trace_event("assert-lost", [&] {
       return "src=" + e->source.str() + " group=" + e->group.str() +
@@ -834,7 +724,7 @@ void PimDmRouter::on_assert(const PimAssert& a, const Address& from,
             auto dit = en->downstream.find(iface);
             if (dit != en->downstream.end()) {
               dit->second->assert_loser = false;
-              invalidate_mfc(key);
+              data_plane_.invalidate(key.source, key.group);
             }
           }, stack_->node().domain());
     }
@@ -864,10 +754,9 @@ void PimDmRouter::on_mld_change(IfaceId iface, const Address& group,
     if (present) {
       if (iface != e->incoming) downstream(*e, iface);  // materialize state
     }
-    invalidate_mfc(*e);
+    data_plane_.invalidate(key.source, key.group);
     check_upstream(*e);
   }
-  (void)iface;
 }
 
 void PimDmRouter::on_state_refresh(const PimStateRefresh& sr, IfaceId iface) {

@@ -26,7 +26,6 @@
 
 #include "ipv6/stack.hpp"
 #include "mld/router.hpp"
-#include "net/mfc.hpp"
 #include "pimdm/config.hpp"
 #include "pimdm/dense_engine.hpp"
 #include "pimdm/messages.hpp"
@@ -74,7 +73,6 @@ class PimDmRouter : public DenseModeEngine {
   enum class DownstreamState { kForwarding, kPrunePending, kPruned };
 
   std::size_t entry_count() const override { return entries_.size(); }
-  std::size_t mfc_entries() const override { return mfc_.size(); }
   /// Keys of every live (S,G) entry (auditor walks these).
   std::vector<SgKey> sg_keys() const override;
   bool has_entry(const Address& src, const Address& group) const override;
@@ -140,9 +138,13 @@ class PimDmRouter : public DenseModeEngine {
     std::map<Address, std::unique_ptr<Timer>> neighbors;
   };
 
+  // DenseDataPlane::Engine: the data plane's slow path and oif walk.
+  void on_cache_miss(const ParsedDatagram& d, const Packet& pkt,
+                     IfaceId iface) override;
+  bool describe_flow(const Address& src, const Address& group,
+                     DenseDataPlane::Flow& flow) const override;
+
   // Entry points.
-  void on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
-                         IfaceId iface);
   void on_pim_message(const ParsedDatagram& d, IfaceId iface);
   void on_hello(const PimHello& hello, const Address& from, IfaceId iface);
   void on_join_prune(const PimJoinPrune& jp, const Address& from,
@@ -159,32 +161,15 @@ class PimDmRouter : public DenseModeEngine {
   const SgEntry* find_entry(const Address& src, const Address& group) const;
   SgEntry* create_entry(const Address& src, const Address& group);
   void delete_entry(const SgKey& key);
-  std::vector<IfaceId> oiflist(const SgEntry& e) const;
-  /// The oiflist() membership predicate for one downstream interface.
+  /// Whether the entry forwards onto one downstream interface.
   bool oif_active(const SgEntry& e, IfaceId iface, const Downstream& d) const;
-  /// Allocation-free "is this interface in oiflist(e)?".
+  /// Allocation-free "is this interface in the entry's oif set?".
   bool in_oiflist(const SgEntry& e, IfaceId iface) const;
   bool wants_traffic(const SgEntry& e) const;
   void check_upstream(SgEntry& e);
   /// Variant taking the already-computed wants_traffic() result so the
   /// data path never evaluates the oif set twice for one packet.
   void check_upstream(SgEntry& e, bool wants);
-
-  // MFC layer (config_.mfc): dense interface indices, precomputed oif
-  // bitmaps and the (S,G) flow cache the data path consults first.
-  static FlowKey flow_key(const Address& src, const Address& group);
-  /// Registers `iface` in the mif table; a renumbering insertion flushes
-  /// the whole cache (bitmaps built under the old numbering are garbage).
-  Mifi mif_of(IfaceId iface);
-  /// Re-resolves the per-RPF-iface hit/miss cells after a mif-table
-  /// change (cold path: string work happens here, never per packet).
-  void rebuild_mfc_cells();
-  /// Recomputes e's bitmap and installs it; nullptr when the entry is not
-  /// cacheable (empty oif set and no local receiver: that path stays
-  /// per-packet because it carries the rate-limited self-prune).
-  MfcEntry* refill_mfc(SgEntry& e);
-  void invalidate_mfc(const SgEntry& e);
-  void invalidate_mfc(const SgKey& key);
 
   // Message emission.
   void send_hello(IfaceId iface);
@@ -215,21 +200,8 @@ class PimDmRouter : public DenseModeEngine {
   MldRouter* mld_;
   PimDmConfig config_;
   std::string component_;  // "pimdm/<node>", cached for trace records
-  /// Cell for the per-fan-out "pimdm/data-fwd" counter, resolved once.
-  CounterCell c_data_fwd_;
-  /// Flow-cache hit/miss cells, resolved once (hot path, no string work).
-  CounterCell c_mfc_hit_;
-  CounterCell c_mfc_miss_;
   /// "pimdm/rx-wrong-iface": every data arrival off the RPF interface.
   CounterCell c_wrong_iface_;
-  /// Per-RPF-interface hit/miss cells ("pimdm/mfc-hit.if<id>"), index =
-  /// mifi. Rebuilt by mif_of() whenever the mif table renumbers, so the
-  /// hot path never does string work.
-  std::vector<CounterCell> c_mfc_shard_hit_;
-  std::vector<CounterCell> c_mfc_shard_miss_;
-  /// Dense interface indices + per-RPF-iface (S,G) flow cache bank.
-  MifTable mifs_;
-  ShardedFlowCache mfc_;
   /// Every interface enable_iface() was ever called for (restart wiring).
   std::set<IfaceId> configured_;
   std::map<IfaceId, IfaceState> ifaces_;
