@@ -1,5 +1,6 @@
-// Edge cases across modules: API contracts, idempotency, introspection
-// errors, and protocol corners not covered by the scenario suites.
+// Edge cases across modules: API contracts, idempotency, and protocol
+// corners not covered by the scenario suites. The dense-mode engines'
+// introspection and local-receiver contract is in dense_engine_test.cpp.
 #include <gtest/gtest.h>
 
 #include "core/traffic.hpp"
@@ -11,34 +12,6 @@ namespace {
 
 const Address kGroup = Address::parse("ff1e::e0");
 constexpr std::uint16_t kPort = 9000;
-
-TEST(EdgeCases, PimIntrospectionThrowsOnMissingEntry) {
-  World world(1);
-  Link& lan = world.add_link("lan");
-  NodeRuntime& r = world.add_router("R", {&lan});
-  world.add_host("H", lan);
-  world.finalize();
-  Address s = Address::parse("2001:db8:9::1");
-  EXPECT_FALSE(r.pim->has_entry(s, kGroup));
-  EXPECT_TRUE(r.pim->outgoing(s, kGroup).empty());
-  EXPECT_THROW(r.pim->incoming(s, kGroup), LogicError);
-  EXPECT_THROW(r.pim->downstream_state(s, kGroup, 0), LogicError);
-}
-
-TEST(EdgeCases, LocalReceiverRefCounting) {
-  World world(1);
-  Link& lan = world.add_link("lan");
-  NodeRuntime& r = world.add_router("R", {&lan});
-  world.finalize();
-  r.pim->add_local_receiver(kGroup);
-  r.pim->add_local_receiver(kGroup);
-  r.pim->remove_local_receiver(kGroup);
-  EXPECT_TRUE(r.pim->is_local_receiver(kGroup));  // one ref left
-  r.pim->remove_local_receiver(kGroup);
-  EXPECT_FALSE(r.pim->is_local_receiver(kGroup));
-  r.pim->remove_local_receiver(kGroup);  // extra remove is harmless
-  EXPECT_FALSE(r.pim->is_local_receiver(kGroup));
-}
 
 TEST(EdgeCases, EnableIfaceTwiceIsIdempotent) {
   World world(1);

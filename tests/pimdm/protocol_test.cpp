@@ -1,6 +1,7 @@
 // PIM-DM protocol behaviour: flood-and-prune, graft (with retransmission),
-// LAN prune delay with Join override, assert forwarder election, data
-// timeout, and the local-receiver pinning used by PIM-capable home agents.
+// LAN prune delay with Join override, data timeout, and the local-receiver
+// pinning used by PIM-capable home agents. The Assert election both engines
+// share is in tests/integration/dense_engine_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -277,56 +278,6 @@ TEST(PimDm, JoinOverridesPruneOnSharedLan) {
   EXPECT_GT(app.unique_received(), 550u);
   // And the memberless stub LC never saw data.
   EXPECT_EQ(t.metrics.data_tx_count_on(t.lc.id()), 0u);
-}
-
-/// Parallel-path topology for asserts: two equal-cost routers bridge the
-/// source LAN and the receiver LAN.
-struct Diamond {
-  World world;
-  Link& top;
-  Link& bottom;
-  NodeRuntime& left;
-  NodeRuntime& right;
-  NodeRuntime& sender;
-  NodeRuntime& member;
-
-  Diamond()
-      : world(3), top(world.add_link("Top")), bottom(world.add_link("Bottom")),
-        left(world.add_router("Left", {&top, &bottom})),
-        right(world.add_router("Right", {&top, &bottom})),
-        sender(world.add_host("S", top)), member(world.add_host("M", bottom)) {
-    world.finalize();
-  }
-};
-
-TEST(PimDm, AssertElectsSingleForwarder) {
-  Diamond t;
-  t.member.mld_host->join(t.member.iface(), kGroup);
-  GroupReceiverApp app(*t.member.stack, kPort);
-  CbrSource source(
-      t.world.scheduler(),
-      [&t](Bytes p) {
-        t.sender.service->send_multicast(kGroup, kPort, kPort, std::move(p));
-      },
-      Time::ms(100), 32);
-  source.start(Time::ms(500));
-  t.world.run_until(Time::sec(30));
-
-  // Both forwarded the first datagram -> duplicate -> assert -> one loser.
-  EXPECT_GE(t.world.net().counters().get("pimdm/tx/assert"), 1u);
-  EXPECT_EQ(t.world.net().counters().get("pimdm/assert-lost"), 1u);
-  // Only the first datagram(s) are duplicated.
-  EXPECT_LE(app.duplicates(), 3u);
-  EXPECT_GT(app.unique_received(), 250u);
-
-  // Exactly one of the two routers still forwards onto the bottom LAN.
-  const Address s = t.sender.mn->home_address();
-  int forwarders = 0;
-  for (NodeRuntime* r : {&t.left, &t.right}) {
-    auto oifs = r->pim->outgoing(s, kGroup);
-    if (!oifs.empty()) ++forwarders;
-  }
-  EXPECT_EQ(forwarders, 1);
 }
 
 TEST(PimDm, LocalReceiverPreventsPrune) {
