@@ -14,8 +14,9 @@
 //    state with the Multicast Listener Interval lifetime, exactly like an
 //    MLD router would on a real interface.
 // How the HA "becomes a member" is delegated to a MembershipBackend: on a
-// PIM router it pins the group via PimDmRouter::add_local_receiver; on a
-// plain host-like HA it joins via its MLD host side.
+// dense-mode router (PIM-DM or HPIM-DM) it pins the group via
+// DenseModeEngine::add_local_receiver; on a plain host-like HA it joins via
+// its MLD host side.
 #pragma once
 
 #include <functional>
