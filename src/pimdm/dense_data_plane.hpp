@@ -2,12 +2,12 @@
 // modelled on Linux mroute6: one multicast forwarding cache that the routing
 // daemon fills on miss upcalls. It owns the dense interface indices, the
 // per-RPF-interface (S,G) flow cache, the forwarding counters and the
-// forwarder hook on the stack. An engine (PIM-DM, HPIM-DM) keeps its control
-// plane and answers two questions behind DenseDataPlane::Engine: what to do
-// with a datagram the cache did not serve, and which interfaces an (S,G)
-// entry forwards onto.
+// forwarder hook on the stack. The control plane (DenseModeEngine, the core
+// PIM-DM and HPIM-DM share) answers two questions behind
+// DenseDataPlane::Engine: what to do with a datagram the cache did not
+// serve, and which interfaces an (S,G) entry forwards onto.
 //
-// The engines are cache invalidators: every control-plane transition that
+// The control plane is the cache invalidator: every transition that
 // can change an entry's oif set, RPF interface or cacheability calls
 // invalidate(), or invalidate_all() when it touches every entry (neighbor
 // set, crash). A missed invalidation forwards from a stale entry;
