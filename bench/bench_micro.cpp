@@ -1,10 +1,12 @@
 // MICRO — google-benchmark microbenchmarks of the substrate: event
 // scheduler throughput, link deliveries over a large timer heap,
-// wire-format serialize/parse rates, checksum, RIB lookup and routing
+// wire-format serialize/parse rates, checksum, a pooled forwarding copy
+// with a few or many buffers in flight, RIB lookup and routing
 // recomputation at 1024 routers, and a full Figure-1 simulated second.
 // These bound how large the scenario sweeps can go.
 #include <benchmark/benchmark.h>
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "ipv6/datagram.hpp"
 #include "ipv6/routing.hpp"
 #include "mipv6/messages.hpp"
+#include "net/buffer_pool.hpp"
 #include "pimdm/messages.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
@@ -135,6 +138,27 @@ void BM_PimJoinPruneRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PimJoinPruneRoundTrip);
+
+// One forwarding checkout with `range(0)` pooled buffers in flight, held
+// in FIFO order: each iteration releases the oldest and checks one out with
+// a 176-byte datagram copied in (IPv6 header, UDP header, 128-byte CBR
+// payload). The cost of one hop's hop-limit-decremented copy.
+void BM_BufferPoolCheckout(benchmark::State& state) {
+  const auto in_flight = static_cast<std::size_t>(state.range(0));
+  const Bytes datagram(176, 0x5a);
+  BufferPool pool;
+  std::deque<std::shared_ptr<Bytes>> fifo;
+  for (std::size_t i = 0; i < in_flight; ++i) {
+    fifo.push_back(pool.checkout_copy(datagram));
+  }
+  for (auto _ : state) {
+    fifo.pop_front();
+    fifo.push_back(pool.checkout_copy(datagram));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["slots"] = static_cast<double>(pool.slots());
+}
+BENCHMARK(BM_BufferPoolCheckout)->Arg(64)->Arg(1024);
 
 void BM_RibLookup(benchmark::State& state) {
   // A router's RIB in the 1024-router world: one /64 per link, prefixes

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <vector>
+
 #include "net/network.hpp"
 
 namespace mip6 {
@@ -48,19 +52,33 @@ TEST(BufferPool, LiveBufferIsNeverMutatedByLaterCheckouts) {
   EXPECT_EQ(*held, (Bytes{9, 9, 9}));
 }
 
-TEST(BufferPool, FallsBackToPlainAllocationWhenFull) {
+TEST(BufferPool, GrowsToEveryBufferInFlight) {
   BufferPool pool;
   std::vector<std::shared_ptr<Bytes>> live;
-  for (std::size_t i = 0; i < BufferPool::kMaxSlots + 10; ++i) {
-    live.push_back(pool.checkout());
+  for (std::size_t i = 0; i < 1000; ++i) live.push_back(pool.checkout());
+  EXPECT_EQ(pool.slots(), 1000u);
+  EXPECT_EQ(pool.fresh(), 1000u);
+  std::vector<const Bytes*> distinct;
+  for (const auto& b : live) distinct.push_back(b.get());
+  std::sort(distinct.begin(), distinct.end());
+  EXPECT_EQ(std::adjacent_find(distinct.begin(), distinct.end()),
+            distinct.end());
+}
+
+TEST(BufferPool, SettlesAtThePeakInFlightWithinTheProbeBudget) {
+  // At most 64 buffers in flight, released oldest first, as packets leave
+  // the world in about the order they entered it.
+  constexpr std::size_t kInFlight = 64;
+  constexpr std::size_t kCheckouts = 100'000;
+  BufferPool pool;
+  std::deque<std::shared_ptr<Bytes>> fifo;
+  for (std::size_t i = 0; i < kCheckouts; ++i) {
+    if (fifo.size() == kInFlight) fifo.pop_front();
+    fifo.push_back(pool.checkout_copy(Bytes(128, 0x5a)));
   }
-  EXPECT_EQ(pool.slots(), BufferPool::kMaxSlots);
-  // Every buffer is distinct even past the cap.
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    for (std::size_t j = i + 1; j < live.size(); ++j) {
-      ASSERT_NE(live[i].get(), live[j].get());
-    }
-  }
+  EXPECT_LE(pool.slots(), kInFlight + BufferPool::kProbeBudget);
+  EXPECT_LE(pool.probes(), 2 * kCheckouts);
+  EXPECT_EQ(pool.reused() + pool.fresh(), kCheckouts);
 }
 
 TEST(BufferPool, PacketSharingIsReferenceNotCopy) {

@@ -8,17 +8,23 @@
 //    serial twin through every reader, between run_until calls, after a
 //    re-shard and at the end. The barrier folds no counters; each reader
 //    folds first.
+//  * Per-shard BufferPools, whose barrier re-checks only the slots lent
+//    since the last one, never lend a buffer someone still holds, and after
+//    every barrier offer exactly the buffers a full walk finds sole-owned.
 //
 // Carries the par-smoke label, so the par-smoke-tsan and par-smoke-asan
 // presets run these under ThreadSanitizer and ASan+UBSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "../sim/scheduler_differential.hpp"
+#include "net/buffer_pool.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
@@ -211,6 +217,154 @@ TEST(BarrierCounters, ReshardingKeepsUnfoldedWorkerWrites) {
   expect_same_reads(par, ser, 1);
   EXPECT_GT(ser.reg.sum_prefix("named/2/"), 0u);
   EXPECT_GT(ser.reg.sum_prefix("cell/"), 0u);
+}
+
+// Four node domains, two per shard, lend buffers from their shard's pool
+// (the controller context uses pool 0, as Network::buffer_pool() does).
+// Each tick checks a few out, tags them, and either holds them or hands
+// them to a random domain, possibly on the other shard, in a cross-shard
+// event; held buffers are released in random order. The barrier hook runs
+// mark_safe() and compares each pool's reusable buffers with a full walk
+// over every buffer it ever lent.
+struct PoolProgram {
+  static constexpr Domain kDomains = 4;
+
+  struct Held {
+    std::shared_ptr<Bytes> buf;
+    std::uint64_t tag = 0;
+  };
+
+  Scheduler sched;
+  std::array<BufferPool, 2> pools;
+  /// Every buffer each pool lent; written by the pool's shard, read by the
+  /// controller at barriers.
+  std::array<std::vector<std::weak_ptr<Bytes>>, 2> lent;
+  std::vector<std::unique_ptr<Rng>> rngs;
+  std::vector<std::unique_ptr<Timer>> timers;
+  std::vector<std::deque<Held>> held;
+  std::vector<std::uint64_t> next_tag;
+  // Written by each domain's own events.
+  std::vector<std::uint64_t> shared_checkouts;
+  std::vector<std::uint64_t> clobbered;
+  // Written by the controller, once per pool per barrier.
+  std::uint64_t checks = 0;
+  std::uint64_t checks_with_reuse = 0;
+  std::uint64_t set_mismatches = 0;
+
+  explicit PoolProgram(std::uint64_t seed)
+      : held(kDomains + 1), next_tag(kDomains + 1),
+        shared_checkouts(kDomains + 1), clobbered(kDomains + 1) {
+    rngs.resize(kDomains + 1);
+    timers.resize(kDomains + 1);
+    for (Domain d = 1; d <= kDomains; ++d) {
+      if (sched.add_domain() != d) throw LogicError("domain ids");
+      rngs[d] = std::make_unique<Rng>(Rng::derive_seed(seed, d));
+      timers[d] = std::make_unique<Timer>(sched, [this, d] { tick(d); }, d);
+    }
+    sched.set_barrier_hook([this] { check_barrier(); });
+    for (Domain d = 1; d <= kDomains; ++d) timers[d]->arm(Time::us(100));
+  }
+
+  void shard(bool on) {
+    if (on) {
+      sched.configure_shards({kS, 0, 0, 1, 1}, 2, Time::us(100));
+    } else {
+      sched.configure_serial();
+    }
+    for (BufferPool& p : pools) p.set_parallel(on);
+  }
+
+  static std::size_t pool_slot() {
+    return static_cast<std::size_t>(
+        std::max(Scheduler::current_shard_slot(), 0));
+  }
+
+  static Bytes tag_bytes(std::uint64_t tag) {
+    Bytes b(8);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = static_cast<std::uint8_t>(tag >> (8 * i));
+    }
+    return b;
+  }
+
+  void release(Domain d, Held& h) {
+    if (*h.buf != tag_bytes(h.tag)) ++clobbered[d];
+    h.buf.reset();
+  }
+
+  void tick(Domain d) {
+    Rng& rng = *rngs[d];
+    const std::size_t p = pool_slot();
+    for (std::uint64_t n = rng.uniform_int(4); n > 0; --n) {
+      std::shared_ptr<Bytes> buf = pools[p].checkout();
+      // Held by the pool and this checkout only, and cleared.
+      if (buf.use_count() != 2 || !buf->empty()) ++shared_checkouts[d];
+      if (pools[p].fresh() > lent[p].size()) lent[p].push_back(buf);
+      const std::uint64_t tag = (std::uint64_t{d} << 32) | next_tag[d]++;
+      *buf = tag_bytes(tag);
+      if (rng.uniform_int(3) == 0) {
+        const auto to = static_cast<Domain>(1 + rng.uniform_int(kDomains));
+        sched.post_in(
+            Time::us(100 * static_cast<std::int64_t>(1 + rng.uniform_int(3))),
+            [this, to, buf, tag] { held[to].push_back(Held{buf, tag}); }, to);
+      } else {
+        held[d].push_back(Held{std::move(buf), tag});
+      }
+    }
+    // Release a few, mostly oldest first, sometimes from the middle.
+    for (std::uint64_t n = rng.uniform_int(4); n > 0 && !held[d].empty();
+         --n) {
+      auto it = held[d].begin();
+      if (rng.uniform_int(4) == 0) it += rng.uniform_int(held[d].size());
+      release(d, *it);
+      held[d].erase(it);
+    }
+    timers[d]->arm(Time::us(50 * static_cast<std::int64_t>(
+                                     1 + rng.uniform_int(3))));
+  }
+
+  void check_barrier() {
+    for (std::size_t p = 0; p < pools.size(); ++p) {
+      ++checks;
+      pools[p].mark_safe();
+      std::vector<const Bytes*> want;
+      for (const auto& w : lent[p]) {
+        if (w.use_count() == 1) want.push_back(w.lock().get());
+      }
+      std::vector<const Bytes*> got = pools[p].reusable_buffers();
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+      if (got != want) ++set_mismatches;
+      if (!want.empty()) ++checks_with_reuse;
+    }
+  }
+};
+
+TEST(BarrierBufferPool, LentListMarkSafeMatchesAFullWalk) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    PoolProgram prog(seed);
+    prog.shard(true);
+    prog.sched.run_until(Time::ms(20));
+    // Back to serial (every buffer reusable the moment it is free), then
+    // sharded again: entering parallel mode re-checks every slot.
+    prog.shard(false);
+    prog.sched.run_until(Time::ms(25));
+    prog.shard(true);
+    prog.sched.run_until(Time::ms(45));
+    EXPECT_GT(prog.sched.windows(), 100u);
+    EXPECT_EQ(prog.set_mismatches, 0u);
+    // The comparison has something to compare at most barriers.
+    EXPECT_GT(prog.checks_with_reuse, prog.checks / 2);
+    for (Domain d = 1; d <= PoolProgram::kDomains; ++d) {
+      EXPECT_EQ(prog.shared_checkouts[d], 0u) << "domain " << d;
+      EXPECT_EQ(prog.clobbered[d], 0u) << "domain " << d;
+    }
+    for (const BufferPool& p : prog.pools) {
+      EXPECT_GT(p.reused(), 5 * p.fresh());
+    }
+    prog.shard(false);
+  }
 }
 
 }  // namespace
