@@ -45,6 +45,14 @@ void GlobalRouting::register_stack(Ipv6Stack& stack) {
 }
 
 void GlobalRouting::recompute() {
+  // Each router gets at most one route per link prefix: reserving that
+  // many writes every RIB once, at its final size.
+  const auto& links = net_->links();
+  const auto prefixes = static_cast<std::size_t>(
+      std::count_if(links.begin(), links.end(), [&](const auto& link) {
+        return plan_->has_prefix(link->id());
+      }));
+
   // Router slots: a node's first registered forwarding stack routes for it.
   std::vector<std::uint32_t> slot_of_node(net_->nodes().size(), kNone);
   std::vector<Ipv6Stack*> routers;
@@ -55,10 +63,10 @@ void GlobalRouting::recompute() {
     if (slot != kNone) continue;
     slot = static_cast<std::uint32_t>(routers.size());
     routers.push_back(s);
+    s->rib().reserve(prefixes);
   }
 
   // Router interfaces per link (indexed by LinkId), in attachment order.
-  const auto& links = net_->links();
   std::vector<std::vector<Attachment>> attached(links.size());
   for (const auto& link : links) {
     for (const Interface* iface : link->attached()) {

@@ -34,6 +34,8 @@ class Rib {
   /// Removes all routes with exactly this prefix.
   void remove_prefix(const Prefix& prefix);
   void clear();
+  /// Makes room for `routes` routes, so adding that many copies none.
+  void reserve(std::size_t routes) { routes_.reserve(routes); }
 
   /// Longest-prefix match; ties broken by lowest metric, then by the route
   /// added first. nullptr = no route. Any change to the RIB invalidates the
