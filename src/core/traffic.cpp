@@ -55,16 +55,12 @@ GroupReceiverApp::GroupReceiverApp(Ipv6Stack& stack, std::uint16_t port)
 
 void GroupReceiverApp::on_udp(const ParsedDatagram& d, IfaceId iface) {
   (void)iface;
-  UdpDatagram udp;
-  try {
-    udp = UdpDatagram::parse(d.payload, d.hdr.src, d.hdr.dst);
-  } catch (const ParseError&) {
-    return;
-  }
-  if (udp.dst_port != port_) return;
+  const ParseResult<UdpView> udp =
+      UdpDatagram::try_view(d.payload, d.hdr.src, d.hdr.dst);
+  if (!udp.ok() || udp.value().dst_port != port_) return;
   CbrPayload p;
   try {
-    p = CbrPayload::decode(udp.payload);
+    p = CbrPayload::decode(udp.value().payload);
   } catch (const ParseError&) {
     return;
   }

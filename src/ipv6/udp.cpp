@@ -19,9 +19,9 @@ Bytes UdpDatagram::serialize(const Address& src, const Address& dst) const {
   return std::move(w).take();
 }
 
-ParseResult<UdpDatagram> UdpDatagram::try_parse(BytesView bytes,
-                                                const Address& src,
-                                                const Address& dst) {
+ParseResult<UdpView> UdpDatagram::try_view(BytesView bytes,
+                                           const Address& src,
+                                           const Address& dst) {
   if (bytes.size() < kHeaderSize) {
     return ParseFailure{ParseReason::kTruncated, "UDP datagram too short"};
   }
@@ -31,9 +31,9 @@ ParseResult<UdpDatagram> UdpDatagram::try_parse(BytesView bytes,
     return ParseFailure{ParseReason::kBadChecksum, "UDP checksum"};
   }
   WireCursor c(bytes);
-  UdpDatagram d;
-  d.src_port = c.u16();
-  d.dst_port = c.u16();
+  UdpView v;
+  v.src_port = c.u16();
+  v.dst_port = c.u16();
   std::uint16_t len = c.u16();
   if (len > bytes.size()) {
     return ParseFailure{ParseReason::kTruncated,
@@ -44,8 +44,17 @@ ParseResult<UdpDatagram> UdpDatagram::try_parse(BytesView bytes,
                         "octets beyond UDP length field"};
   }
   c.skip(2);  // checksum
-  d.payload = c.raw(c.remaining());
-  return d;
+  v.payload = c.view(c.remaining());
+  return v;
+}
+
+ParseResult<UdpDatagram> UdpDatagram::try_parse(BytesView bytes,
+                                                const Address& src,
+                                                const Address& dst) {
+  ParseResult<UdpView> v = try_view(bytes, src, dst);
+  if (!v.ok()) return v.failure();
+  return UdpDatagram{v.value().src_port, v.value().dst_port,
+                     Bytes(v.value().payload.begin(), v.value().payload.end())};
 }
 
 UdpDatagram UdpDatagram::parse(BytesView bytes, const Address& src,

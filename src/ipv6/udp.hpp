@@ -11,13 +11,24 @@
 
 namespace mip6 {
 
+/// A verified UDP datagram read in place: the ports, and the payload as a
+/// view into the received octets (valid only as long as they are).
+struct UdpView {
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+  BytesView payload;
+};
+
 struct UdpDatagram {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
   Bytes payload;
 
   Bytes serialize(const Address& src, const Address& dst) const;
-  /// No-throw parse + checksum/length verification.
+  /// No-throw checksum/length verification without copying the payload.
+  static ParseResult<UdpView> try_view(BytesView bytes, const Address& src,
+                                       const Address& dst);
+  /// try_view, with the payload copied out.
   static ParseResult<UdpDatagram> try_parse(BytesView bytes,
                                             const Address& src,
                                             const Address& dst);

@@ -29,19 +29,23 @@ void UdpDemux::stop() {
 }
 
 void UdpDemux::on_udp(const ParsedDatagram& d, IfaceId iface) {
-  ParseResult<UdpDatagram> parsed =
-      UdpDatagram::try_parse(d.payload, d.hdr.src, d.hdr.dst);
+  // Verified in place: transit data on a multicast-promiscuous router
+  // finds no listener, and is not copied to learn that.
+  const ParseResult<UdpView> parsed =
+      UdpDatagram::try_view(d.payload, d.hdr.src, d.hdr.dst);
   if (!parsed.ok()) {
     c_parse_error_.add();
     note_parse_reject(stack_->network(), "udp", parsed.failure());
     return;
   }
-  UdpDatagram udp = std::move(parsed).value();
-  auto it = handlers_.find(udp.dst_port);
+  const UdpView& v = parsed.value();
+  auto it = handlers_.find(v.dst_port);
   if (it == handlers_.end()) {
     c_no_listener_.add();
     return;
   }
+  const UdpDatagram udp{v.src_port, v.dst_port,
+                        Bytes(v.payload.begin(), v.payload.end())};
   it->second(udp, d, iface);
 }
 
