@@ -93,20 +93,6 @@ void FlowCache::clear() {
   ++epoch_;
 }
 
-MfcEntry& ShardedFlowCache::insert(const FlowKey& k, Mifi rpf) {
-  if (rpf >= shards_.size()) {
-    shards_.resize(static_cast<std::size_t>(rpf) + 1,
-                   FlowCache(initial_slots_));
-  }
-  return shards_[rpf].insert(k);
-}
-
-std::size_t ShardedFlowCache::size() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s.size();
-  return n;
-}
-
 void FlowCache::grow() {
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(old.size() * 2, Slot{});

@@ -152,60 +152,4 @@ class FlowCache {
   std::uint64_t epoch_ = 1;  // entries start at epoch 0 = stale
 };
 
-/// Bank of FlowCaches selected by RPF interface (mifi). Flows arriving on
-/// different upstream interfaces never share probe chains, so each
-/// sub-table stays short even at 64k total entries, and nothing is shared
-/// across topology shards in the parallel scheduler (each router's caches
-/// were already private; splitting by RPF iface additionally keeps a hot
-/// flow's probes out of every other upstream's slots).
-///
-/// The shard index is the *arrival* interface's mifi: the data path only
-/// ever serves a flow from its RPF interface, so an entry inserted under
-/// mifi(e.incoming) is found exactly by packets arriving on the RPF
-/// interface — wrong-interface arrivals probe a different sub-table, miss,
-/// and fall through to the control-plane slow path, same as before.
-/// Invalidation by key sweeps every sub-table (rare path): an (S,G) whose
-/// RPF interface moved may have a stale slot in the old shard.
-class ShardedFlowCache {
- public:
-  explicit ShardedFlowCache(std::size_t initial_slots = 16)
-      : initial_slots_(initial_slots) {}
-
-  /// The fresh entry for `k` in `rpf`'s sub-table, or nullptr.
-  MfcEntry* find(const FlowKey& k, Mifi rpf) {
-    if (rpf >= shards_.size()) return nullptr;
-    return shards_[rpf].find(k);
-  }
-  /// Finds-or-creates the slot for `k` in `rpf`'s sub-table (growing the
-  /// bank on first use of a new mifi) and marks it fresh.
-  MfcEntry& insert(const FlowKey& k, Mifi rpf);
-  void invalidate(const FlowKey& k) {
-    for (auto& s : shards_) s.invalidate(k);
-  }
-  void invalidate_all() {
-    for (auto& s : shards_) s.invalidate_all();
-  }
-  /// Drops every sub-table (entry pointers are about to dangle).
-  void clear() { shards_.clear(); }
-  /// Occupied slots across all sub-tables, stale ones included.
-  std::size_t size() const;
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Occupied slots in one sub-table (0 for a never-used mifi).
-  std::size_t shard_size(Mifi rpf) const {
-    return rpf < shards_.size() ? shards_[rpf].size() : 0;
-  }
-  /// Calls `fn(rpf, entry)` for every fresh entry of every sub-table.
-  template <typename Fn>
-  void for_each_fresh(Fn&& fn) const {
-    for (std::size_t r = 0; r < shards_.size(); ++r) {
-      shards_[r].for_each_fresh(
-          [&](const MfcEntry& e) { fn(static_cast<Mifi>(r), e); });
-    }
-  }
-
- private:
-  std::vector<FlowCache> shards_;  // index = RPF mifi; grown on demand
-  std::size_t initial_slots_;
-};
-
 }  // namespace mip6

@@ -24,22 +24,22 @@ void DenseDataPlane::on_data(const ParsedDatagram& d, const Packet& pkt,
   // data reaches this point.
   const Address& src = d.hdr.src;
   if (src.is_multicast() || src.is_unspecified()) return;
-  // A fresh entry holds the whole forwarding decision. The arrival
-  // interface's mifi selects the cache sub-table, so wrong-interface
-  // arrivals miss and fall through to the engine (assert and non-RPF
-  // prune handling are control-plane work).
-  const Mifi rpf = mifs_.lookup(iface);
+  // A fresh entry holds the whole forwarding decision for arrivals on its
+  // RPF interface; wrong-interface arrivals miss and fall through to the
+  // engine (assert and non-RPF prune handling are control-plane work).
+  // An unregistered interface is no entry's RPF interface.
+  const Mifi mif = mifs_.lookup(iface);
   MfcEntry* m =
-      rpf != kNoMif ? cache_.find(flow_key(src, d.hdr.dst), rpf) : nullptr;
+      mif != kNoMif ? cache_.find(flow_key(src, d.hdr.dst)) : nullptr;
   if (m != nullptr && iface == m->iif) {
     c_hit_.add();
-    c_shard_hit_[rpf].add();
+    c_if_hit_[mif].add();
     m->data_timeout->extend(data_timeout_);
     c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
     return;
   }
   c_miss_.add();
-  if (rpf != kNoMif) c_shard_miss_[rpf].add();
+  if (mif != kNoMif) c_if_miss_[mif].add();
   engine_->on_cache_miss(d, pkt, iface);
 }
 
@@ -53,16 +53,16 @@ bool DenseDataPlane::refill_and_forward(const Packet& pkt, const Address& src,
   }
   // Register every candidate interface before building the bitmap:
   // registration can renumber and flush the cache. The RPF interface is
-  // registered too; it selects the sub-table the fast path probes.
+  // registered too; the fast path only probes for registered arrivals.
   for (const auto& [iface, forwards] : flow_.downstream) (void)mif_of(iface);
-  const Mifi rpf = mif_of(flow_.iif);
+  (void)mif_of(flow_.iif);
   IfSet oifs;
   (void)oif_bitmap(flow_, oifs);
   if (oifs.empty() && !flow_.local_receiver) {
     cache_.invalidate(key);
     return false;
   }
-  MfcEntry& m = cache_.insert(key, rpf);
+  MfcEntry& m = cache_.insert(key);
   m.iif = flow_.iif;
   m.oifs = oifs;
   m.data_timeout = flow_.data_timeout;
@@ -93,22 +93,21 @@ Mifi DenseDataPlane::mif_of(IfaceId iface) {
 }
 
 void DenseDataPlane::rebuild_cells() {
-  c_shard_hit_.clear();
-  c_shard_miss_.clear();
+  c_if_hit_.clear();
+  c_if_miss_.clear();
   auto& reg = stack_->network().counters();
   for (Mifi m = 0; m < mifs_.size(); ++m) {
     const std::string suffix = ".if" + std::to_string(mifs_.iface(m));
-    c_shard_hit_.push_back(reg.cell(kind_ + "/mfc-hit" + suffix));
-    c_shard_miss_.push_back(reg.cell(kind_ + "/mfc-miss" + suffix));
+    c_if_hit_.push_back(reg.cell(kind_ + "/mfc-hit" + suffix));
+    c_if_miss_.push_back(reg.cell(kind_ + "/mfc-miss" + suffix));
   }
 }
 
 std::string DenseDataPlane::first_incoherent() const {
   std::string found;
   Flow flow;
-  cache_.for_each_fresh([&](Mifi rpf, const MfcEntry& m) {
-    // Only an entry filed under its own RPF interface can serve a packet.
-    if (!found.empty() || mifs_.iface(rpf) != m.iif) return;
+  cache_.for_each_fresh([&](const MfcEntry& m) {
+    if (!found.empty()) return;
     const Address src = Address::from_halves(m.key.w[0], m.key.w[1]);
     const Address group = Address::from_halves(m.key.w[2], m.key.w[3]);
     flow.downstream.clear();

@@ -1,11 +1,11 @@
 // The multicast data plane both dense-mode engines forward through,
 // modelled on Linux mroute6: one multicast forwarding cache that the routing
 // daemon fills on miss upcalls. It owns the dense interface indices, the
-// per-RPF-interface (S,G) flow cache, the forwarding counters and the
-// forwarder hook on the stack. The control plane (DenseModeEngine, the core
-// PIM-DM and HPIM-DM share) answers two questions behind
-// DenseDataPlane::Engine: what to do with a datagram the cache did not
-// serve, and which interfaces an (S,G) entry forwards onto.
+// (S,G) flow cache, the forwarding counters and the forwarder hook on the
+// stack. The control plane (DenseModeEngine, the core PIM-DM and HPIM-DM
+// share) answers two questions behind DenseDataPlane::Engine: what to do
+// with a datagram the cache did not serve, and which interfaces an (S,G)
+// entry forwards onto.
 //
 // The control plane is the cache invalidator: every transition that
 // can change an entry's oif set, RPF interface or cacheability calls
@@ -58,7 +58,7 @@ class DenseDataPlane {
   };
 
   /// Installs the multicast forwarder on `stack`. Counters are named
-  /// "<kind>/mfc-hit", "<kind>/mfc-miss" (plus ".if<id>" per RPF
+  /// "<kind>/mfc-hit", "<kind>/mfc-miss" (plus ".if<id>" per arrival
   /// interface) and "<kind>/data-fwd".
   DenseDataPlane(Ipv6Stack& stack, Engine& engine, std::string_view kind,
                  Time data_timeout);
@@ -98,8 +98,9 @@ class DenseDataPlane {
   /// Registers `iface`; a renumbering insertion flushes the whole cache
   /// (bitmaps built under the old numbering are garbage).
   Mifi mif_of(IfaceId iface);
-  /// Re-resolves the per-RPF-interface hit/miss cells after a mif-table
-  /// change (cold path: string work happens here, never per packet).
+  /// Re-resolves the per-arrival-interface hit/miss cells after a
+  /// mif-table change (cold path: string work happens here, never per
+  /// packet).
   void rebuild_cells();
   /// `flow`'s oif bitmap under the current numbering; false when one of
   /// its oifs has no mifi.
@@ -112,11 +113,11 @@ class DenseDataPlane {
   CounterCell c_data_fwd_;
   CounterCell c_hit_;
   CounterCell c_miss_;
-  /// Per-RPF-interface hit/miss cells, index = mifi.
-  std::vector<CounterCell> c_shard_hit_;
-  std::vector<CounterCell> c_shard_miss_;
+  /// Per-arrival-interface hit/miss cells, index = mifi.
+  std::vector<CounterCell> c_if_hit_;
+  std::vector<CounterCell> c_if_miss_;
   MifTable mifs_;
-  ShardedFlowCache cache_;
+  FlowCache cache_;
   /// Refill's scratch: keeps its capacity, so a refill does not allocate.
   Flow flow_;
 };

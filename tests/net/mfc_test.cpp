@@ -182,64 +182,5 @@ TEST(FlowCacheTest, StaleEntriesAreNeverReturned) {
   }
 }
 
-TEST(ShardedFlowCacheTest, SubTablesAreIsolatedByRpfMifi) {
-  ShardedFlowCache c;
-  // Same key inserted under two RPF interfaces lands in two sub-tables.
-  c.insert(key(1), /*rpf=*/0).iif = 10;
-  c.insert(key(1), /*rpf=*/3).iif = 30;
-  ASSERT_NE(c.find(key(1), 0), nullptr);
-  ASSERT_NE(c.find(key(1), 3), nullptr);
-  EXPECT_EQ(c.find(key(1), 0)->iif, 10u);
-  EXPECT_EQ(c.find(key(1), 3)->iif, 30u);
-  // A never-used mifi (in range or past the bank) has no entries.
-  EXPECT_EQ(c.find(key(1), 1), nullptr);
-  EXPECT_EQ(c.find(key(1), 200), nullptr);
-  EXPECT_EQ(c.shard_count(), 4u);
-  EXPECT_EQ(c.shard_size(0), 1u);
-  EXPECT_EQ(c.shard_size(1), 0u);
-  EXPECT_EQ(c.shard_size(3), 1u);
-  EXPECT_EQ(c.size(), 2u);
-}
-
-TEST(ShardedFlowCacheTest, InvalidateByKeySweepsEverySubTable) {
-  ShardedFlowCache c;
-  // An (S,G) whose RPF interface moved leaves a slot in the old shard;
-  // key invalidation must hide both.
-  c.insert(key(5), 0);
-  c.insert(key(5), 2);
-  c.insert(key(6), 2);
-  c.invalidate(key(5));
-  EXPECT_EQ(c.find(key(5), 0), nullptr);
-  EXPECT_EQ(c.find(key(5), 2), nullptr);
-  EXPECT_NE(c.find(key(6), 2), nullptr);
-
-  c.invalidate_all();
-  EXPECT_EQ(c.find(key(6), 2), nullptr);
-  // Epoch invalidation, not erasure: occupied slots survive.
-  EXPECT_EQ(c.size(), 3u);
-
-  c.clear();
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.shard_count(), 0u);
-}
-
-TEST(ShardedFlowCacheTest, ShardsGrowIndependently) {
-  ShardedFlowCache c(4);
-  // Load one sub-table through several growth rounds while its neighbor
-  // keeps a single entry: growth in one must not disturb the other.
-  c.insert(key(9999), 1).iif = 7;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    c.insert(key(i), 0).iif = static_cast<IfaceId>(i);
-  }
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    MfcEntry* e = c.find(key(i), 0);
-    ASSERT_NE(e, nullptr) << i;
-    EXPECT_EQ(e->iif, static_cast<IfaceId>(i));
-  }
-  ASSERT_NE(c.find(key(9999), 1), nullptr);
-  EXPECT_EQ(c.find(key(9999), 1)->iif, 7u);
-  EXPECT_EQ(c.shard_size(1), 1u);
-}
-
 }  // namespace
 }  // namespace mip6
