@@ -1,5 +1,7 @@
 #include "core/metrics.hpp"
 
+#include <algorithm>
+
 #include "core/traffic.hpp"
 #include "ipv6/datagram.hpp"
 
@@ -29,35 +31,24 @@ void McastMetrics::update_reference_tree(
 }
 
 void McastMetrics::on_tx(const Link& link, const Packet& pkt) {
-  ParsedDatagram d;
-  try {
-    d = parse_datagram(pkt.view());
-  } catch (const ParseError&) {
-    return;
+  ParseResult<ParsedDatagram> parsed = try_parse_datagram(pkt.view());
+  if (!parsed.ok()) return;
+  const bool tunneled = parsed.value().protocol == proto::kIpv6;
+  if (tunneled) {
+    // The inner datagram's views point into pkt, as the outer's do.
+    parsed = try_parse_datagram(parsed.value().payload);
+    if (!parsed.ok()) return;
   }
-  bool tunneled = false;
-  const ParsedDatagram* data = &d;
-  ParsedDatagram inner;
-  if (d.protocol == proto::kIpv6) {
-    try {
-      inner = parse_datagram(d.payload);
-    } catch (const ParseError&) {
-      return;
-    }
-    data = &inner;
-    tunneled = true;
-  }
-  if (!(data->hdr.dst == group_) || data->protocol != proto::kUdp) return;
+  const ParsedDatagram& data = parsed.value();
+  if (!(data.hdr.dst == group_) || data.protocol != proto::kUdp) return;
 
-  UdpDatagram udp;
-  CbrPayload payload;
-  try {
-    udp = UdpDatagram::parse(data->payload, data->hdr.src, data->hdr.dst);
-    if (udp.dst_port != data_port_) return;
-    payload = CbrPayload::decode(udp.payload);
-  } catch (const ParseError&) {
-    return;
-  }
+  const ParseResult<UdpView> udp =
+      UdpDatagram::try_view(data.payload, data.hdr.src, data.hdr.dst);
+  if (!udp.ok() || udp.value().dst_port != data_port_) return;
+  const std::optional<CbrPayload> payload =
+      CbrPayload::try_decode(udp.value().payload);
+  if (!payload) return;
+  const std::uint32_t seq = payload->seq;
 
   const Time now = net_->now();
   std::lock_guard<std::mutex> lock(mu_);
@@ -65,10 +56,15 @@ void McastMetrics::on_tx(const Link& link, const Packet& pkt) {
   actual_bytes_ += pkt.size();
   if (tunneled) tunneled_bytes_ += pkt.size();
 
-  if (seen_seqs_.insert(payload.seq).second) {
+  // Sequence numbers mostly arrive in order: append, else insert in place.
+  auto at = seen_seqs_.empty() || seen_seqs_.back() < seq
+                ? seen_seqs_.end()
+                : std::lower_bound(seen_seqs_.begin(), seen_seqs_.end(), seq);
+  if (at == seen_seqs_.end() || *at != seq) {
+    seen_seqs_.insert(at, seq);
     // First appearance of this application datagram anywhere: charge the
     // ideal tree cost using the native (untunneled) wire size.
-    std::size_t native_size = Ipv6Header::kSize + data->payload.size();
+    std::size_t native_size = Ipv6Header::kSize + data.payload.size();
     optimal_bytes_ +=
         static_cast<std::uint64_t>(native_size) * reference_tree_links_;
   }

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <set>
 #include <vector>
 
 #include "ipv6/global_routing.hpp"
@@ -91,7 +90,8 @@ class McastMetrics {
   std::uint64_t optimal_bytes_ = 0;
   std::uint64_t tunneled_bytes_ = 0;
   std::uint64_t data_tx_ = 0;
-  std::set<std::uint32_t> seen_seqs_;
+  /// Sorted; one entry per distinct application datagram.
+  std::vector<std::uint32_t> seen_seqs_;
   std::map<LinkId, LinkStats> per_link_;
 };
 

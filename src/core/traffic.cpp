@@ -1,6 +1,7 @@
 #include "core/traffic.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace mip6 {
 
@@ -13,12 +14,22 @@ Bytes CbrPayload::encode(std::size_t total_size) const {
   return std::move(w).take();
 }
 
-CbrPayload CbrPayload::decode(BytesView payload) {
-  BufferReader r(payload);
+std::optional<CbrPayload> CbrPayload::try_decode(BytesView payload) {
+  WireCursor c(payload);
   CbrPayload p;
-  p.seq = r.u32();
-  p.sent_at = Time::ns(static_cast<std::int64_t>(r.u64()));
+  p.seq = c.u32();
+  p.sent_at = Time::ns(static_cast<std::int64_t>(c.u64()));
+  if (c.failed()) return std::nullopt;
   return p;
+}
+
+CbrPayload CbrPayload::decode(BytesView payload) {
+  std::optional<CbrPayload> p = try_decode(payload);
+  if (!p) {
+    throw ParseError("CBR payload shorter than " + std::to_string(kMinSize) +
+                     " octets");
+  }
+  return *p;
 }
 
 CbrSource::CbrSource(Scheduler& sched, SendFn send, Time interval,
@@ -58,19 +69,16 @@ void GroupReceiverApp::on_udp(const ParsedDatagram& d, IfaceId iface) {
   const ParseResult<UdpView> udp =
       UdpDatagram::try_view(d.payload, d.hdr.src, d.hdr.dst);
   if (!udp.ok() || udp.value().dst_port != port_) return;
-  CbrPayload p;
-  try {
-    p = CbrPayload::decode(udp.value().payload);
-  } catch (const ParseError&) {
-    return;
-  }
-  auto it = std::lower_bound(seen_.begin(), seen_.end(), p.seq);
-  if (it != seen_.end() && *it == p.seq) {
+  const std::optional<CbrPayload> p =
+      CbrPayload::try_decode(udp.value().payload);
+  if (!p) return;
+  auto it = std::lower_bound(seen_.begin(), seen_.end(), p->seq);
+  if (it != seen_.end() && *it == p->seq) {
     ++duplicates_;
     return;
   }
-  seen_.insert(it, p.seq);
-  log_.push_back(Rx{p.seq, p.sent_at, sched_->now()});
+  seen_.insert(it, p->seq);
+  log_.push_back(Rx{p->seq, p->sent_at, sched_->now()});
 }
 
 std::optional<Time> GroupReceiverApp::first_rx_at_or_after(Time t) const {

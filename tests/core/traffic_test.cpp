@@ -29,6 +29,25 @@ TEST(CbrPayload, DecodeRejectsTruncation) {
   EXPECT_THROW(CbrPayload::decode(wire), ParseError);
 }
 
+TEST(CbrPayload, TryDecodeFailsExactlyWhereDecodeThrows) {
+  CbrPayload p;
+  p.seq = 77;
+  p.sent_at = Time::us(5);
+  const Bytes full = p.encode(64);
+  for (std::size_t n : {0u, 4u, 11u, 12u, 64u}) {
+    const BytesView wire(full.data(), n);
+    const std::optional<CbrPayload> got = CbrPayload::try_decode(wire);
+    if (n < CbrPayload::kMinSize) {
+      EXPECT_FALSE(got.has_value()) << n;
+      EXPECT_THROW(CbrPayload::decode(wire), ParseError) << n;
+      continue;
+    }
+    ASSERT_TRUE(got.has_value()) << n;
+    EXPECT_EQ(got->seq, 77u);
+    EXPECT_EQ(got->sent_at, Time::us(5));
+  }
+}
+
 TEST(CbrSource, EmitsAtConfiguredRate) {
   Scheduler sched;
   std::vector<Time> sends;
