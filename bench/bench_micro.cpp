@@ -1,8 +1,9 @@
 // MICRO — google-benchmark microbenchmarks of the substrate: event
 // scheduler throughput, link deliveries over a large timer heap,
 // wire-format serialize/parse rates, checksum, a pooled forwarding copy
-// with a few or many buffers in flight, RIB lookup and routing
-// recomputation at 1024 routers, and a full Figure-1 simulated second.
+// with a few or many buffers in flight, RIB lookup in one RIB and across
+// a 1024-router world, routing recomputation at 1024 routers, and a full
+// Figure-1 simulated second.
 // These bound how large the scenario sweeps can go.
 #include <benchmark/benchmark.h>
 
@@ -179,6 +180,34 @@ void BM_RibLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RibLookup);
+
+void BM_RibLookupShared(benchmark::State& state) {
+  // RPF lookups as flood-1k makes them: its graph after recompute, every
+  // router in turn looking up 16 sources on stub LANs.
+  RandomTopologyParams params;
+  params.routers = 1024;
+  params.max_fanout = 32;
+  params.extra_links = 256;
+  RandomTopology t = build_random_topology(params);
+  t.world->finalize();
+  std::vector<Address> dsts;
+  for (std::size_t i = 0; i < 16; ++i) {
+    const Link& stub = *t.stub_links[i * t.stub_links.size() / 16];
+    dsts.push_back(Address::from_prefix_iid(
+        t.world->plan().prefix_of(stub.id()).network(), 0x42));
+  }
+  std::size_t router = 0, dst = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        t.routers[router]->stack->rib().lookup(dsts[dst]));
+    if (++dst == dsts.size()) {
+      dst = 0;
+      if (++router == t.routers.size()) router = 0;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RibLookupShared);
 
 void BM_GlobalRoutingRecompute(benchmark::State& state) {
   // The flood-1k benchmark graph: 1024 routers, 2303 links.

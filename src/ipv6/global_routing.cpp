@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <optional>
 
 namespace mip6 {
@@ -15,12 +16,12 @@ struct Attachment {
   IfaceId iface;
 };
 
-/// A link a router can expand over, and the address its neighbours there
-/// use as next hop toward it.
-struct Expansion {
-  LinkId link;
-  IfaceId iface;
-  Address addr;
+/// A hop of the route computation's walk: from a router over one of its
+/// up links to a peer router, which then routes through the first router.
+struct Arc {
+  std::uint32_t peer;  // router slot
+  IfaceId peer_iface;
+  std::uint32_t next_hop;  // index of the first router's address
 };
 
 /// The first global unicast address on the interface, else the first
@@ -45,15 +46,9 @@ void GlobalRouting::register_stack(Ipv6Stack& stack) {
 }
 
 void GlobalRouting::recompute() {
-  // Each router gets at most one route per link prefix: reserving that
-  // many writes every RIB once, at its final size.
-  const auto& links = net_->links();
-  const auto prefixes = static_cast<std::size_t>(
-      std::count_if(links.begin(), links.end(), [&](const auto& link) {
-        return plan_->has_prefix(link->id());
-      }));
-
   // Router slots: a node's first registered forwarding stack routes for it.
+  // Clearing the RIBs first lets the previous table go before this one is
+  // built.
   std::vector<std::uint32_t> slot_of_node(net_->nodes().size(), kNone);
   std::vector<Ipv6Stack*> routers;
   for (Ipv6Stack* s : stacks_) {
@@ -63,63 +58,97 @@ void GlobalRouting::recompute() {
     if (slot != kNone) continue;
     slot = static_cast<std::uint32_t>(routers.size());
     routers.push_back(s);
-    s->rib().reserve(prefixes);
   }
+  const auto slots = static_cast<std::uint32_t>(routers.size());
 
-  // Router interfaces per link (indexed by LinkId), in attachment order.
-  std::vector<std::vector<Attachment>> attached(links.size());
+  // Router interfaces per link, in attachment order: link l's are
+  // attached[attached_at[l], attached_at[l + 1]).
+  const auto& links = net_->links();
+  std::vector<std::size_t> attached_at(links.size() + 1, 0);
+  std::vector<Attachment> attached;
   for (const auto& link : links) {
     for (const Interface* iface : link->attached()) {
       const std::uint32_t r = slot_of_node[iface->node().id()];
-      if (r != kNone) attached[link->id()].push_back({r, iface->id()});
+      if (r != kNone) attached.push_back({r, iface->id()});
     }
+    attached_at[link->id() + 1] = attached.size();
   }
 
-  // Per router, in interface order, the up links it expands over.
-  std::vector<std::vector<Expansion>> expansions(routers.size());
-  for (std::uint32_t r = 0; r < routers.size(); ++r) {
+  // Per router, in interface order, the arcs over its up links: router r's
+  // are arcs[arcs_at[r], arcs_at[r + 1]).
+  std::vector<Address> next_hops{Address()};  // 0: on-link
+  std::vector<std::size_t> arcs_at(slots + 1, 0);
+  std::vector<Arc> arcs;
+  for (std::uint32_t r = 0; r < slots; ++r) {
     for (const auto& iface : routers[r]->node().interfaces()) {
       if (!iface->attached()) continue;
       const Link* l = iface->link();
       if (!l->up()) continue;  // down links carry nothing
-      if (auto addr = advertised_address(*routers[r], iface->id())) {
-        expansions[r].push_back({l->id(), iface->id(), *addr});
+      const auto addr = advertised_address(*routers[r], iface->id());
+      if (!addr) continue;
+      const auto next_hop = static_cast<std::uint32_t>(next_hops.size());
+      next_hops.push_back(*addr);
+      for (std::size_t k = attached_at[l->id()]; k < attached_at[l->id() + 1];
+           ++k) {
+        if (attached[k].iface != iface->id()) {
+          arcs.push_back({attached[k].router, attached[k].iface, next_hop});
+        }
       }
     }
+    arcs_at[r + 1] = arcs.size();
   }
 
-  // One BFS per link prefix. A router's route is fixed when the BFS first
-  // reaches it, so the visit order decides equal-cost next hops.
-  std::vector<LinkId> visited(routers.size(), kNone);
-  std::vector<std::uint32_t> dist(routers.size());
-  std::vector<std::uint32_t> queue;
-  queue.reserve(routers.size());
+  // The table holds the link prefixes in RIB order; equal prefixes keep
+  // link order, as adding each link's routes in turn would.
+  std::vector<LinkId> dsts;
   for (const auto& link : links) {
-    const LinkId dst = link->id();
-    if (!plan_->has_prefix(dst)) continue;
-    const Prefix& prefix = plan_->prefix_of(dst);
-    auto reach = [&](std::uint32_t r, std::uint32_t d, IfaceId out,
-                     const Address& next_hop) {
-      visited[r] = dst;
-      dist[r] = d;
+    if (plan_->has_prefix(link->id())) dsts.push_back(link->id());
+  }
+  std::ranges::stable_sort(dsts, rib_order, [&](LinkId l) -> const Prefix& {
+    return plan_->prefix_of(l);
+  });
+  std::vector<Prefix> prefixes;
+  prefixes.reserve(dsts.size());
+  for (LinkId l : dsts) prefixes.push_back(plan_->prefix_of(l));
+
+  // One BFS per link prefix, writing that prefix's hops. A router's route
+  // is fixed when the BFS first reaches it (its hop gets a nonzero metric),
+  // so the visit order decides equal-cost next hops.
+  std::vector<RouteTable::Hop> hops(prefixes.size() * slots);
+  std::vector<std::uint32_t> routes(slots, 0);
+  std::vector<std::uint32_t> queue;
+  queue.reserve(slots);
+  for (std::size_t pos = 0; pos < dsts.size(); ++pos) {
+    const LinkId dst = dsts[pos];
+    RouteTable::Hop* row = hops.data() + pos * slots;
+    auto reach = [&](std::uint32_t r, std::uint32_t metric, IfaceId out,
+                     std::uint32_t next_hop) {
+      row[r] = {out, metric, next_hop};
+      ++routes[r];
       queue.push_back(r);
-      routers[r]->rib().add(Route{prefix, out, next_hop, d});
     };
     queue.clear();
     // Routers directly on the destination link deliver on-link.
-    for (const Attachment& a : attached[dst]) {
-      if (visited[a.router] != dst) reach(a.router, 1, a.iface, Address());
+    for (std::size_t k = attached_at[dst]; k < attached_at[dst + 1]; ++k) {
+      const Attachment& a = attached[k];
+      if (row[a.router].metric == 0) reach(a.router, 1, a.iface, 0);
     }
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const std::uint32_t cur = queue[head];
-      for (const Expansion& x : expansions[cur]) {
-        for (const Attachment& peer : attached[x.link]) {
-          if (peer.iface == x.iface || visited[peer.router] == dst) continue;
-          reach(peer.router, dist[cur] + 1, peer.iface, x.addr);
+      const std::uint32_t metric = row[cur].metric + 1;
+      for (std::size_t k = arcs_at[cur]; k < arcs_at[cur + 1]; ++k) {
+        const Arc& a = arcs[k];
+        if (row[a.peer].metric == 0) {
+          reach(a.peer, metric, a.peer_iface, a.next_hop);
         }
       }
     }
   }
+
+  auto table = std::make_shared<const RouteTable>(
+      std::move(prefixes), slots, std::move(hops), std::move(next_hops),
+      std::move(routes));
+  for (std::uint32_t r = 0; r < slots; ++r) routers[r]->rib().assign(table, r);
   autoconfigure_hosts();
 }
 

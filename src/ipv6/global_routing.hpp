@@ -2,10 +2,11 @@
 // converged link-state IGP, in the spirit of ns-3's GlobalRouting).
 //
 // For every link prefix, a breadth-first search over the router graph
-// computes each router's hop distance and next hop; hosts receive their
-// default route from the addressing plan via Ipv6Stack::autoconfigure. The
-// hop-count metrics installed here are the values PIM-DM uses in its RPF
-// checks and Assert comparisons.
+// computes each router's hop distance and next hop, into one RouteTable
+// that every router's RIB reads; hosts receive their default route from
+// the addressing plan via Ipv6Stack::autoconfigure. The hop-count metrics
+// installed here are the values PIM-DM uses in its RPF checks and Assert
+// comparisons.
 #pragma once
 
 #include <vector>
@@ -23,9 +24,10 @@ class GlobalRouting {
   /// All stacks must be registered (routers and hosts) before recompute().
   void register_stack(Ipv6Stack& stack);
 
-  /// Clears and reinstalls prefix routes in every forwarding stack, and
-  /// autoconfigures every registered host interface. Call after topology
-  /// construction and after any router-level topology change.
+  /// Replaces the routes of every forwarding stack with its slot of a new
+  /// shared RouteTable, and autoconfigures every registered host
+  /// interface. Call after topology construction and after any
+  /// router-level topology change.
   void recompute();
 
   /// Autoconfigures every registered host interface without touching

@@ -11,6 +11,8 @@
 //  * Per-shard BufferPools, whose barrier re-checks only the slots lent
 //    since the last one, never lend a buffer someone still holds, and after
 //    every barrier offer exactly the buffers a full walk finds sole-owned.
+//  * RIBs that share one RouteTable answer lookups from two shards that
+//    ask for the same unbuilt rows in one window as a serial twin's do.
 //
 // Carries the par-smoke label, so the par-smoke-tsan and par-smoke-asan
 // presets run these under ThreadSanitizer and ASan+UBSan.
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "../sim/scheduler_differential.hpp"
+#include "core/random_topology.hpp"
 #include "net/buffer_pool.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -365,6 +368,90 @@ TEST(BarrierBufferPool, LentListMarkSafeMatchesAFullWalk) {
     }
     prog.shard(false);
   }
+}
+
+// Two node domains, one per shard, each with a router of one random world.
+// Every tick both look up the same next five link prefixes, so in each
+// window two threads may build the same row. Between run_until calls the
+// routes are recomputed, and the new table's rows are all unbuilt again.
+struct LookupProgram {
+  static constexpr Domain kDomains = 2;
+
+  RandomTopology topo;
+  std::vector<Prefix> prefixes;
+  Scheduler sched;
+  std::vector<std::unique_ptr<Timer>> timers;
+  // Written by each domain's own events.
+  std::array<std::vector<Route>, kDomains + 1> found;
+  std::array<std::size_t, kDomains + 1> next{};
+
+  explicit LookupProgram(bool sharded) {
+    RandomTopologyParams params;
+    params.routers = 16;
+    params.extra_links = 6;
+    params.seed = 5;
+    topo = build_random_topology(params);
+    topo.world->finalize();
+    for (const auto& link : topo.world->net().links()) {
+      if (topo.world->plan().has_prefix(link->id())) {
+        prefixes.push_back(topo.world->plan().prefix_of(link->id()));
+      }
+    }
+    timers.resize(kDomains + 1);
+    for (Domain d = 1; d <= kDomains; ++d) {
+      if (sched.add_domain() != d) throw LogicError("domain ids");
+      timers[d] = std::make_unique<Timer>(sched, [this, d] { tick(d); }, d);
+    }
+    if (sharded) sched.configure_shards({kS, 0, 1}, 2, Time::us(100));
+    for (Domain d = 1; d <= kDomains; ++d) timers[d]->arm(Time::us(100));
+  }
+
+  const Rib& rib(Domain d) const {
+    return topo.routers[(d - 1) * 5]->stack->rib();
+  }
+
+  void tick(Domain d) {
+    for (int k = 0; k < 5; ++k) {
+      const Prefix& p = prefixes[next[d]++ % prefixes.size()];
+      const Route* r = rib(d).lookup(p.network());
+      found[d].push_back(r != nullptr ? *r : Route{});
+    }
+    timers[d]->arm(Time::us(100));
+  }
+};
+
+TEST(BarrierRouteTable, TwoShardsBuildingOneRowReadLikeASerialTwin) {
+  LookupProgram par(/*sharded=*/true);
+  LookupProgram ser(/*sharded=*/false);
+  for (int step = 1; step <= 6; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    // Both routers read one table, none of whose rows is built yet.
+    ASSERT_NE(par.rib(1).table(), nullptr);
+    ASSERT_EQ(par.rib(1).table(), par.rib(2).table());
+    ASSERT_EQ(par.rib(1).table()->rows_built(), 0u);
+    const Time until = Time::ms(step);
+    par.sched.run_until(until);
+    ser.sched.run_until(until);
+    // Nine or ten ticks of five lookups cover every prefix.
+    EXPECT_EQ(par.rib(1).table()->rows_built(), par.prefixes.size());
+    par.topo.world->routing().recompute();
+    ser.topo.world->routing().recompute();
+  }
+  EXPECT_GT(par.sched.windows(), 50u);
+  for (Domain d = 1; d <= LookupProgram::kDomains; ++d) {
+    SCOPED_TRACE("domain " + std::to_string(d));
+    ASSERT_EQ(par.found[d].size(), ser.found[d].size());
+    EXPECT_GT(par.found[d].size(), 200u);
+    for (std::size_t i = 0; i < par.found[d].size(); ++i) {
+      const Route& got = par.found[d][i];
+      const Route& want = ser.found[d][i];
+      EXPECT_EQ(got.prefix, want.prefix) << i;
+      EXPECT_EQ(got.out_iface, want.out_iface) << i;
+      EXPECT_EQ(got.next_hop, want.next_hop) << i;
+      EXPECT_EQ(got.metric, want.metric) << i;
+    }
+  }
+  par.sched.configure_serial();
 }
 
 }  // namespace
