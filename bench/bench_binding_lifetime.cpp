@@ -26,12 +26,9 @@ ReplicationResult run(std::uint64_t seed, Time lifetime, double bu_loss) {
   // Drop a fraction of the MN's Binding Updates on its foreign link.
   Rng drop_rng(Rng::derive_seed(seed, 0xdead));
   h.f.link6->set_drop_fn([&](const Packet& pkt, const Interface&) {
-    try {
-      ParsedDatagram d = parse_datagram(pkt.view());
-      if (d.has_option(opt::kBindingUpdate)) {
-        return drop_rng.uniform() < bu_loss;
-      }
-    } catch (const ParseError&) {
+    const ParseResult<ParsedDatagram> d = try_parse_datagram(pkt.view());
+    if (d.ok() && d.value().has_option(opt::kBindingUpdate)) {
+      return drop_rng.uniform() < bu_loss;
     }
     return false;
   });

@@ -24,9 +24,9 @@ int main() {
           Address::from_prefix_iid(Address::parse("ff1e::"), i + 1));
     }
     BuSubOption sub = list.encode();
-    MulticastGroupListSubOption back =
-        MulticastGroupListSubOption::decode(sub);
-    bool rt = back.groups == list.groups;
+    ParseResult<MulticastGroupListSubOption> back =
+        MulticastGroupListSubOption::try_decode(sub);
+    bool rt = back.ok() && back.value().groups == list.groups;
     t.add_row({std::to_string(n), std::to_string(sub.data.size()),
                sub.data.size() == 16 * n ? "yes" : "NO",
                rt ? "yes" : "NO"});
@@ -53,16 +53,27 @@ int main() {
         HomeAddressOption{Address::parse("2001:db8:4::99")}.encode());
     spec.protocol = proto::kNoNext;
     Bytes wire = build_datagram(spec);
-    ParsedDatagram d = parse_datagram(wire);
-    BindingUpdateOption parsed =
-        BindingUpdateOption::decode(*d.find_option(opt::kBindingUpdate));
-    auto groups = MulticastGroupListSubOption::decode(
-                      *parsed.find_sub_option(subopt::kMulticastGroupList))
-                      .groups;
+    ParseResult<ParsedDatagram> d = try_parse_datagram(wire);
+    ParseResult<BindingUpdateOption> parsed =
+        d.ok() ? BindingUpdateOption::try_decode(
+                     *d.value().find_option(opt::kBindingUpdate))
+               : d.failure();
+    ParseResult<MulticastGroupListSubOption> list_back =
+        parsed.ok() ? MulticastGroupListSubOption::try_decode(
+                          *parsed.value().find_sub_option(
+                              subopt::kMulticastGroupList))
+                    : parsed.failure();
+    if (!list_back.ok()) {
+      std::printf("full BU datagram: %zu octets; REJECTED: %s\n\n",
+                  wire.size(), list_back.failure().str().c_str());
+      return 1;
+    }
+    const std::vector<Address>& groups = list_back.value().groups;
     std::printf("full BU datagram: %zu octets; groups recovered: %s, %s; "
                 "effective source (home address): %s\n\n",
                 wire.size(), groups[0].str().c_str(),
-                groups[1].str().c_str(), d.effective_src.str().c_str());
+                groups[1].str().c_str(),
+                d.value().effective_src.str().c_str());
   }
 
   // Robustness: truncations always rejected, random bytes never crash.
@@ -71,11 +82,11 @@ int main() {
   for (int trial = 0; trial < 5000; ++trial) {
     Bytes junk(rng.uniform_int(64));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_u64());
-    try {
-      MulticastGroupListSubOption::decode(
-          BuSubOption{subopt::kMulticastGroupList, junk});
+    if (MulticastGroupListSubOption::try_decode(
+            BuSubOption{subopt::kMulticastGroupList, junk})
+            .ok()) {
       ++accepted;
-    } catch (const ParseError&) {
+    } else {
       ++rejected;
     }
   }

@@ -105,7 +105,7 @@ void BM_DatagramParse(benchmark::State& state) {
   spec.payload = Bytes(static_cast<std::size_t>(state.range(0)));
   Bytes wire = build_datagram(spec);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(parse_datagram(wire));
+    benchmark::DoNotOptimize(try_parse_datagram(wire));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(wire.size()));
@@ -135,7 +135,7 @@ void BM_PimJoinPruneRoundTrip(benchmark::State& state) {
                                        Address::parse("ff1e::1"), 210);
   for (auto _ : state) {
     Bytes body = m.body();
-    benchmark::DoNotOptimize(PimJoinPrune::parse(body));
+    benchmark::DoNotOptimize(PimJoinPrune::try_parse(body));
   }
 }
 BENCHMARK(BM_PimJoinPruneRoundTrip);

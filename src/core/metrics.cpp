@@ -45,10 +45,10 @@ void McastMetrics::on_tx(const Link& link, const Packet& pkt) {
   const ParseResult<UdpView> udp =
       UdpDatagram::try_view(data.payload, data.hdr.src, data.hdr.dst);
   if (!udp.ok() || udp.value().dst_port != data_port_) return;
-  const std::optional<CbrPayload> payload =
+  const ParseResult<CbrPayload> payload =
       CbrPayload::try_decode(udp.value().payload);
-  if (!payload) return;
-  const std::uint32_t seq = payload->seq;
+  if (!payload.ok()) return;
+  const std::uint32_t seq = payload.value().seq;
 
   const Time now = net_->now();
   std::lock_guard<std::mutex> lock(mu_);

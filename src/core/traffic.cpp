@@ -1,7 +1,6 @@
 #include "core/traffic.hpp"
 
 #include <algorithm>
-#include <string>
 
 namespace mip6 {
 
@@ -14,22 +13,15 @@ Bytes CbrPayload::encode(std::size_t total_size) const {
   return std::move(w).take();
 }
 
-std::optional<CbrPayload> CbrPayload::try_decode(BytesView payload) {
+ParseResult<CbrPayload> CbrPayload::try_decode(BytesView payload) {
   WireCursor c(payload);
   CbrPayload p;
   p.seq = c.u32();
   p.sent_at = Time::ns(static_cast<std::int64_t>(c.u64()));
-  if (c.failed()) return std::nullopt;
-  return p;
-}
-
-CbrPayload CbrPayload::decode(BytesView payload) {
-  std::optional<CbrPayload> p = try_decode(payload);
-  if (!p) {
-    throw ParseError("CBR payload shorter than " + std::to_string(kMinSize) +
-                     " octets");
+  if (c.failed()) {
+    return ParseFailure{ParseReason::kTruncated, "CBR payload"};
   }
-  return *p;
+  return p;
 }
 
 CbrSource::CbrSource(Scheduler& sched, SendFn send, Time interval,
@@ -69,16 +61,17 @@ void GroupReceiverApp::on_udp(const ParsedDatagram& d, IfaceId iface) {
   const ParseResult<UdpView> udp =
       UdpDatagram::try_view(d.payload, d.hdr.src, d.hdr.dst);
   if (!udp.ok() || udp.value().dst_port != port_) return;
-  const std::optional<CbrPayload> p =
+  const ParseResult<CbrPayload> p =
       CbrPayload::try_decode(udp.value().payload);
-  if (!p) return;
-  auto it = std::lower_bound(seen_.begin(), seen_.end(), p->seq);
-  if (it != seen_.end() && *it == p->seq) {
+  if (!p.ok()) return;
+  const std::uint32_t seq = p.value().seq;
+  auto it = std::lower_bound(seen_.begin(), seen_.end(), seq);
+  if (it != seen_.end() && *it == seq) {
     ++duplicates_;
     return;
   }
-  seen_.insert(it, p->seq);
-  log_.push_back(Rx{p->seq, p->sent_at, sched_->now()});
+  seen_.insert(it, seq);
+  log_.push_back(Rx{seq, p.value().sent_at, sched_->now()});
 }
 
 std::optional<Time> GroupReceiverApp::first_rx_at_or_after(Time t) const {

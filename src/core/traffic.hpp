@@ -22,10 +22,8 @@ struct CbrPayload {
   Time sent_at;
 
   Bytes encode(std::size_t total_size) const;
-  /// Throws ParseError on a payload shorter than kMinSize.
-  static CbrPayload decode(BytesView payload);
-  /// decode without the exception: nullopt on a short payload.
-  static std::optional<CbrPayload> try_decode(BytesView payload);
+  /// No-throw decode; a payload shorter than kMinSize is truncated.
+  static ParseResult<CbrPayload> try_decode(BytesView payload);
   static constexpr std::size_t kMinSize = 12;
 };
 

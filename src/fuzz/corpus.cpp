@@ -328,8 +328,8 @@ std::optional<ParseFailure> drive_decoder(FuzzProto p, BytesView frame) {
       return std::nullopt;
     }
     case FuzzProto::kUdp: {
-      ParseResult<UdpDatagram> r =
-          UdpDatagram::try_parse(frame, fuzz_src(), fuzz_dst());
+      ParseResult<UdpView> r =
+          UdpDatagram::try_view(frame, fuzz_src(), fuzz_dst());
       if (!r.ok()) return r.failure();
       return std::nullopt;
     }

@@ -22,7 +22,7 @@ enum class FuzzProto : std::uint8_t {
   kDatagram = 0,  // try_parse_datagram: header + ext-header chain
   kIcmpv6,        // Icmpv6Message::try_parse -> MldMessage::try_from_icmpv6
   kPim,           // try_parse_pim -> per-type body parser
-  kUdp,           // UdpDatagram::try_parse
+  kUdp,           // UdpDatagram::try_view
   kRipng,         // try_parse_ripng_response
   kBindingUpdate, // BindingUpdateOption -> MulticastGroupListSubOption
   kHpim,          // try_parse_hpim -> per-type body parser

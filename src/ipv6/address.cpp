@@ -155,8 +155,6 @@ std::uint64_t Address::low64() const {
 
 void Address::write(BufferWriter& w) const { w.raw(BytesView(b_)); }
 
-Address Address::read(BufferReader& r) { return from_bytes(r.view(kBytes)); }
-
 Address Address::read(WireCursor& c) {
   BytesView v = c.view(kBytes);
   if (v.size() != kBytes) return Address();  // cursor now failed()

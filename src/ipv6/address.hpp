@@ -51,7 +51,6 @@ class Address {
   std::uint64_t low64() const;
 
   void write(BufferWriter& w) const;
-  static Address read(BufferReader& r);
   /// No-throw read: returns the unspecified address and fails the cursor on
   /// underrun (callers check c.failed() once after reading a whole layout).
   static Address read(WireCursor& c);

@@ -93,13 +93,9 @@ ParseResult<ParsedDatagram> try_parse_datagram(BytesView bytes) {
   return d;
 }
 
-ParsedDatagram parse_datagram(BytesView bytes) {
-  return try_parse_datagram(bytes).take_or_throw();
-}
-
 bool decrement_hop_limit(Bytes& datagram) {
   if (datagram.size() < Ipv6Header::kSize) {
-    throw ParseError("datagram shorter than fixed header");
+    throw LogicError("decrement_hop_limit: datagram shorter than fixed header");
   }
   if (datagram[7] <= 1) return false;
   datagram[7] -= 1;

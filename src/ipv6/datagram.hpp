@@ -3,9 +3,10 @@
 // A datagram here is the fixed IPv6 header, zero or more destination-options
 // headers, and a final upper-layer payload (UDP, ICMPv6, PIM, an encapsulated
 // IPv6 datagram, or nothing). build_datagram() produces the wire octets;
-// parse_datagram() walks the chain back and exposes the pieces every engine
-// needs, including the Mobile IPv6 "effective source" (the Home Address
-// destination option overrides the IPv6 source for upper layers).
+// try_parse_datagram() walks the chain back without throwing and exposes the
+// pieces every engine needs, including the Mobile IPv6 "effective source"
+// (the Home Address destination option overrides the IPv6 source for upper
+// layers).
 #pragma once
 
 #include <optional>
@@ -56,12 +57,11 @@ struct ParsedDatagram {
 /// malformations all come back as taxonomy failures instead of exceptions.
 ParseResult<ParsedDatagram> try_parse_datagram(BytesView bytes);
 
-/// Throwing wrapper over try_parse_datagram for legacy call sites.
-ParsedDatagram parse_datagram(BytesView bytes);
-
 /// In-place hop-limit decrement on serialized octets (offset 7).
 /// Returns false (and leaves the octets alone) if the hop limit is already
-/// <= 1 and the packet must be discarded instead of forwarded.
+/// <= 1 and the packet must be discarded instead of forwarded. Throws
+/// LogicError on octets shorter than the fixed header: callers pass a
+/// datagram they have already parsed.
 bool decrement_hop_limit(Bytes& datagram);
 
 }  // namespace mip6

@@ -73,11 +73,6 @@ ParseResult<DestOptionsHeader> DestOptionsHeader::try_read(
   return h;
 }
 
-DestOptionsHeader DestOptionsHeader::read(BufferReader& r) {
-  WireCursor c(r.view(r.remaining()));
-  return DestOptionsHeader::try_read(c).take_or_throw();
-}
-
 const DestOption* DestOptionsHeader::find(std::uint8_t type) const {
   for (const auto& o : options) {
     if (o.type == type) return &o;

@@ -48,9 +48,6 @@ struct DestOptionsHeader {
   /// to stamp each option's wire_offset.
   static ParseResult<DestOptionsHeader> try_read(WireCursor& c,
                                                  std::size_t base_offset = 0);
-  /// Throwing wrapper over try_read for tests/legacy callers. Consumes the
-  /// whole reader; throws ParseError on malformation.
-  static DestOptionsHeader read(BufferReader& r);
 
   /// Returns the first option of `type`, or nullptr.
   const DestOption* find(std::uint8_t type) const;

@@ -1,7 +1,5 @@
 #include "ipv6/header.hpp"
 
-#include <algorithm>
-
 namespace mip6 {
 
 void Ipv6Header::write(BufferWriter& w) const {
@@ -33,11 +31,6 @@ ParseResult<Ipv6Header> Ipv6Header::try_read(WireCursor& c) {
     return ParseFailure{ParseReason::kBadType, "IPv6 version field is not 6"};
   }
   return h;
-}
-
-Ipv6Header Ipv6Header::read(BufferReader& r) {
-  WireCursor c(r.view(std::min(r.remaining(), kSize)));
-  return Ipv6Header::try_read(c).take_or_throw();
 }
 
 }  // namespace mip6

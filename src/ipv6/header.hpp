@@ -37,8 +37,6 @@ struct Ipv6Header {
   void write(BufferWriter& w) const;
   /// No-throw parse; validates the version field.
   static ParseResult<Ipv6Header> try_read(WireCursor& c);
-  /// Throwing wrapper over try_read for legacy call sites; throws ParseError.
-  static Ipv6Header read(BufferReader& r);
 };
 
 }  // namespace mip6

@@ -54,11 +54,6 @@ ParseResult<Icmpv6Message> Icmpv6Message::try_parse(BytesView payload,
   return m;
 }
 
-Icmpv6Message Icmpv6Message::parse(BytesView payload, const Address& src,
-                                   const Address& dst) {
-  return try_parse(payload, src, dst).take_or_throw();
-}
-
 Icmpv6Message make_param_problem(std::uint8_t code, std::uint32_t pointer,
                                  BytesView invoking) {
   // Whole error datagram must stay under the IPv6 minimum MTU: 1280 minus

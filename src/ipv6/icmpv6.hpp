@@ -34,9 +34,6 @@ struct Icmpv6Message {
   static ParseResult<Icmpv6Message> try_parse(BytesView payload,
                                               const Address& src,
                                               const Address& dst);
-  /// Throwing wrapper over try_parse for legacy call sites.
-  static Icmpv6Message parse(BytesView payload, const Address& src,
-                             const Address& dst);
 };
 
 /// Builds a Parameter Problem message: 4-octet pointer into the invoking

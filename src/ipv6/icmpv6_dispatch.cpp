@@ -43,19 +43,10 @@ void Icmpv6Dispatcher::on_icmpv6(const ParsedDatagram& d, IfaceId iface) {
     stack_->network().counters().add("icmpv6/rx-drop/unhandled-type");
     return;
   }
-  // Isolation boundary: a malformed body that slips past one subscriber's
-  // decoder must not abort delivery to its siblings. Only the offending
-  // subscriber's element is dropped.
+  // Subscribers decode the body through the no-throw try_* API, so one
+  // that rejects it drops only its own element and its siblings still run.
   for (const auto& h : it->second) {
-    if (!h) continue;
-    try {
-      h(msg, d, iface);
-    } catch (const ParseError&) {
-      stack_->network().counters().add("icmpv6/rx-drop/handler-parse-error");
-      note_parse_reject(
-          stack_->network(), "icmpv6",
-          ParseFailure{ParseReason::kSemantic, "subscriber rejected body"});
-    }
+    if (h) h(msg, d, iface);
   }
 }
 

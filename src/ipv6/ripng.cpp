@@ -70,10 +70,6 @@ ParseResult<std::vector<RipngRte>> try_parse_ripng_response(
   return rtes;
 }
 
-std::vector<RipngRte> parse_ripng_response(BytesView payload) {
-  return try_parse_ripng_response(payload).take_or_throw();
-}
-
 Ripng::Ripng(Ipv6Stack& stack, UdpDemux& udp, RipngConfig config)
     : stack_(&stack), udp_(&udp), config_(config),
       update_timer_(stack.scheduler(), [this] {

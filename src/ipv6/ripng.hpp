@@ -46,8 +46,6 @@ struct RipngRte {
 Bytes ripng_response_payload(const std::vector<RipngRte>& rtes);
 /// No-throw parse of a RIPng Response; bounds the route-entry count.
 ParseResult<std::vector<RipngRte>> try_parse_ripng_response(BytesView payload);
-/// Throwing wrapper over try_parse_ripng_response for legacy call sites.
-std::vector<RipngRte> parse_ripng_response(BytesView payload);
 
 inline constexpr std::uint16_t kRipngPort = 521;
 /// All-RIP-routers link-scope group.

@@ -179,17 +179,23 @@ bool Ipv6Stack::send(const DatagramSpec& spec) {
 }
 
 bool Ipv6Stack::send_raw(Bytes datagram) {
-  ParsedDatagram d = parse_datagram(datagram);
+  // The octets were built or already verified by this node: a parse
+  // failure is a caller bug.
+  const ParseResult<ParsedDatagram> d = try_parse_datagram(datagram);
+  if (!d.ok()) {
+    throw LogicError("send_raw on a malformed datagram: " + d.failure().str());
+  }
+  const Address& dst = d.value().hdr.dst;
   Packet pkt = network().make_packet(std::move(datagram));
-  if (d.hdr.dst.is_multicast()) {
+  if (dst.is_multicast()) {
     throw LogicError("send_raw with multicast destination; use send_on_iface");
   }
-  const Route* route = rib_.lookup(d.hdr.dst);
+  const Route* route = rib_.lookup(dst);
   if (route == nullptr) {
     count("ipv6/tx-drop/no-route");
     return false;
   }
-  const Address& target = route->on_link() ? d.hdr.dst : route->next_hop;
+  const Address& target = route->on_link() ? dst : route->next_hop;
   return transmit_unicast_on(route->out_iface, target, pkt);
 }
 
@@ -198,18 +204,23 @@ bool Ipv6Stack::send_on_iface(IfaceId iface, const DatagramSpec& spec) {
 }
 
 bool Ipv6Stack::send_raw_on_iface(IfaceId iface, Bytes datagram) {
-  ParsedDatagram d = parse_datagram(datagram);
+  const ParseResult<ParsedDatagram> d = try_parse_datagram(datagram);
+  if (!d.ok()) {
+    throw LogicError("send_raw_on_iface on a malformed datagram: " +
+                     d.failure().str());
+  }
+  const Address& dst = d.value().hdr.dst;
   Packet pkt = network().make_packet(std::move(datagram));
   Interface* i = iface_ptr(iface);
   if (!i->attached()) {
     count("ipv6/tx-drop/detached");
     return false;
   }
-  if (d.hdr.dst.is_multicast()) {
+  if (dst.is_multicast()) {
     i->send(pkt);
     return true;
   }
-  return transmit_unicast_on(iface, d.hdr.dst, pkt);
+  return transmit_unicast_on(iface, dst, pkt);
 }
 
 void Ipv6Stack::receive_as_if(IfaceId iface, Bytes datagram) {

@@ -13,20 +13,12 @@ Bytes encapsulate(BytesView inner, const Address& tunnel_src,
   return build_datagram(outer);
 }
 
-ParseResult<Bytes> try_decapsulate(const ParsedDatagram& outer) {
+ParseResult<ParsedDatagram> try_decapsulate(const ParsedDatagram& outer) {
   if (outer.protocol != proto::kIpv6) {
     return ParseFailure{ParseReason::kBadType,
                         "outer protocol is not IPv6-in-IPv6"};
   }
-  // Validate that the payload parses; the caller usually re-parses anyway,
-  // but rejecting garbage here keeps tunnel endpoints honest.
-  ParseResult<ParsedDatagram> inner = try_parse_datagram(outer.payload);
-  if (!inner.ok()) return inner.failure();
-  return Bytes(outer.payload.begin(), outer.payload.end());
-}
-
-Bytes decapsulate(const ParsedDatagram& outer) {
-  return try_decapsulate(outer).take_or_throw();
+  return try_parse_datagram(outer.payload);
 }
 
 }  // namespace mip6

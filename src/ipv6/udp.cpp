@@ -48,18 +48,4 @@ ParseResult<UdpView> UdpDatagram::try_view(BytesView bytes,
   return v;
 }
 
-ParseResult<UdpDatagram> UdpDatagram::try_parse(BytesView bytes,
-                                                const Address& src,
-                                                const Address& dst) {
-  ParseResult<UdpView> v = try_view(bytes, src, dst);
-  if (!v.ok()) return v.failure();
-  return UdpDatagram{v.value().src_port, v.value().dst_port,
-                     Bytes(v.value().payload.begin(), v.value().payload.end())};
-}
-
-UdpDatagram UdpDatagram::parse(BytesView bytes, const Address& src,
-                               const Address& dst) {
-  return try_parse(bytes, src, dst).take_or_throw();
-}
-
 }  // namespace mip6

@@ -28,13 +28,6 @@ struct UdpDatagram {
   /// No-throw checksum/length verification without copying the payload.
   static ParseResult<UdpView> try_view(BytesView bytes, const Address& src,
                                        const Address& dst);
-  /// try_view, with the payload copied out.
-  static ParseResult<UdpDatagram> try_parse(BytesView bytes,
-                                            const Address& src,
-                                            const Address& dst);
-  /// Throwing wrapper over try_parse for legacy call sites.
-  static UdpDatagram parse(BytesView bytes, const Address& src,
-                           const Address& dst);
 
   static constexpr std::size_t kHeaderSize = 8;
 };

@@ -306,15 +306,17 @@ void HomeAgent::on_tunneled(const ParsedDatagram& outer, IfaceId iface) {
     count("ha/drop/disabled-tunnel");
     return;
   }
-  ParseResult<Bytes> decap = try_decapsulate(outer);
+  ParseResult<ParsedDatagram> decap = try_decapsulate(outer);
   if (!decap.ok()) {
     count("ha/rx-drop/bad-tunnel");
     note_parse_reject(stack_->network(), "mipv6", decap.failure());
     return;
   }
-  Bytes inner = std::move(decap).value();
+  // `in` views outer.payload, the inner datagram's octets; each path that
+  // hands the datagram on copies them.
+  const ParsedDatagram& in = decap.value();
+  const BytesView inner = outer.payload;
   count("ha/decap");
-  ParsedDatagram in = parse_datagram(inner);
   trace_event("decap", [&] {
     return "src=" + in.hdr.src.str() + " dst=" + in.hdr.dst.str();
   });
@@ -344,7 +346,7 @@ void HomeAgent::on_tunneled(const ParsedDatagram& outer, IfaceId iface) {
       // Also place the Report on the home link so an MLD querier other
       // than ourselves learns the membership.
       if (auto hi = iface_for_home(in.hdr.src)) {
-        stack_->send_raw_on_iface(*hi, inner);
+        stack_->send_raw_on_iface(*hi, Bytes(inner.begin(), inner.end()));
       }
       return;
     }
@@ -360,14 +362,14 @@ void HomeAgent::on_tunneled(const ParsedDatagram& outer, IfaceId iface) {
       count("ha/drop/unknown-home-link");
       return;
     }
-    stack_->send_raw_on_iface(*hi, inner);
-    stack_->receive_as_if(*hi, std::move(inner));
+    stack_->send_raw_on_iface(*hi, Bytes(inner.begin(), inner.end()));
+    stack_->receive_as_if(*hi, Bytes(inner.begin(), inner.end()));
     return;
   }
 
   // Reverse-tunneled unicast: forward like a freshly received datagram.
   if (auto hi = iface_for_home(in.hdr.src)) {
-    stack_->receive_as_if(*hi, std::move(inner));
+    stack_->receive_as_if(*hi, Bytes(inner.begin(), inner.end()));
   }
 }
 

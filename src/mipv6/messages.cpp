@@ -58,10 +58,6 @@ ParseResult<BindingUpdateOption> BindingUpdateOption::try_decode(
   return bu;
 }
 
-BindingUpdateOption BindingUpdateOption::decode(const DestOption& opt) {
-  return try_decode(opt).take_or_throw();
-}
-
 const BuSubOption* BindingUpdateOption::find_sub_option(
     std::uint8_t type) const {
   for (const auto& s : sub_options) {
@@ -102,10 +98,6 @@ ParseResult<BindingAckOption> BindingAckOption::try_decode(
   return ba;
 }
 
-BindingAckOption BindingAckOption::decode(const DestOption& opt) {
-  return try_decode(opt).take_or_throw();
-}
-
 DestOption HomeAddressOption::encode() const {
   BufferWriter w(Address::kBytes);
   home_address.write(w);
@@ -128,10 +120,6 @@ ParseResult<HomeAddressOption> HomeAddressOption::try_decode(
                         "trailing octets after Home Address option"};
   }
   return h;
-}
-
-HomeAddressOption HomeAddressOption::decode(const DestOption& opt) {
-  return try_decode(opt).take_or_throw();
 }
 
 BuSubOption MulticastGroupListSubOption::encode() const {
@@ -168,11 +156,6 @@ ParseResult<MulticastGroupListSubOption> MulticastGroupListSubOption::try_decode
   return m;
 }
 
-MulticastGroupListSubOption MulticastGroupListSubOption::decode(
-    const BuSubOption& sub) {
-  return try_decode(sub).take_or_throw();
-}
-
 BuSubOption MulticastCareOfSubOption::encode() const {
   BufferWriter w(Address::kBytes);
   group.write(w);
@@ -197,11 +180,6 @@ ParseResult<MulticastCareOfSubOption> MulticastCareOfSubOption::try_decode(
                         "Multicast Care-of address is not multicast"};
   }
   return m;
-}
-
-MulticastCareOfSubOption MulticastCareOfSubOption::decode(
-    const BuSubOption& sub) {
-  return try_decode(sub).take_or_throw();
 }
 
 }  // namespace mip6

@@ -43,7 +43,6 @@ struct BindingUpdateOption {
   DestOption encode() const;
   /// No-throw decode; bounds the sub-option count.
   static ParseResult<BindingUpdateOption> try_decode(const DestOption& opt);
-  static BindingUpdateOption decode(const DestOption& opt);
 
   const BuSubOption* find_sub_option(std::uint8_t type) const;
 };
@@ -56,7 +55,6 @@ struct BindingAckOption {
 
   DestOption encode() const;
   static ParseResult<BindingAckOption> try_decode(const DestOption& opt);
-  static BindingAckOption decode(const DestOption& opt);
 };
 
 struct HomeAddressOption {
@@ -64,7 +62,6 @@ struct HomeAddressOption {
 
   DestOption encode() const;
   static ParseResult<HomeAddressOption> try_decode(const DestOption& opt);
-  static HomeAddressOption decode(const DestOption& opt);
 };
 
 /// Figure 5: the group list as a BU sub-option, Sub-Option Len = 16*N.
@@ -76,7 +73,6 @@ struct MulticastGroupListSubOption {
   /// multicast group.
   static ParseResult<MulticastGroupListSubOption> try_decode(
       const BuSubOption& sub);
-  static MulticastGroupListSubOption decode(const BuSubOption& sub);
 };
 
 /// The multicast care-of address (mcast-mobility reachability group) as a
@@ -88,7 +84,6 @@ struct MulticastCareOfSubOption {
   /// No-throw decode; length must be exactly 16 and the address multicast.
   static ParseResult<MulticastCareOfSubOption> try_decode(
       const BuSubOption& sub);
-  static MulticastCareOfSubOption decode(const BuSubOption& sub);
 };
 
 }  // namespace mip6

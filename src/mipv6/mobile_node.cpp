@@ -51,14 +51,15 @@ MobileNode::MobileNode(Ipv6Stack& stack, IfaceId iface, Address home_address,
   stack.set_proto_handler(
       proto::kIpv6,
       [this](const ParsedDatagram& d, const Packet&, IfaceId rx_iface) {
-        ParseResult<Bytes> inner = try_decapsulate(d);
+        ParseResult<ParsedDatagram> inner = try_decapsulate(d);
         if (!inner.ok()) {
           count("mn/rx-drop/bad-tunnel");
           note_parse_reject(stack_->network(), "mipv6", inner.failure());
           return;
         }
         count("mn/decap");
-        stack_->receive_as_if(rx_iface, std::move(inner).value());
+        stack_->receive_as_if(rx_iface,
+                              Bytes(d.payload.begin(), d.payload.end()));
       });
 }
 

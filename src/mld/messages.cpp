@@ -43,8 +43,4 @@ ParseResult<MldMessage> MldMessage::try_from_icmpv6(const Icmpv6Message& msg) {
   return m;
 }
 
-MldMessage MldMessage::from_icmpv6(const Icmpv6Message& msg) {
-  return try_from_icmpv6(msg).take_or_throw();
-}
-
 }  // namespace mip6

@@ -32,8 +32,6 @@ struct MldMessage {
   Icmpv6Message to_icmpv6() const;
   /// No-throw parse from an ICMPv6 message of type 130-132.
   static ParseResult<MldMessage> try_from_icmpv6(const Icmpv6Message& msg);
-  /// Throwing wrapper over try_from_icmpv6 for legacy call sites.
-  static MldMessage from_icmpv6(const Icmpv6Message& msg);
 
   /// Wire size of the full IPv6 datagram carrying an MLD message (fixed
   /// header + ICMPv6 header + body); used for overhead accounting.

@@ -51,25 +51,12 @@ ParseResult<PimHeader> try_parse_pim(BytesView payload, const Address& src,
   return h;
 }
 
-PimHeader parse_pim(BytesView payload, const Address& src,
-                    const Address& dst) {
-  return try_parse_pim(payload, src, dst).take_or_throw();
-}
-
 // --- Encoded addresses -------------------------------------------------------
 
 void write_encoded_unicast(BufferWriter& w, const Address& a) {
   w.u8(kFamilyIpv6);
   w.u8(kEncodingNative);
   a.write(w);
-}
-
-Address read_encoded_unicast(BufferReader& r) {
-  if (r.u8() != kFamilyIpv6) throw ParseError("encoded-unicast: not IPv6");
-  if (r.u8() != kEncodingNative) {
-    throw ParseError("encoded-unicast: unknown encoding");
-  }
-  return Address::read(r);
 }
 
 ParseResult<Address> try_read_encoded_unicast(WireCursor& c) {
@@ -95,16 +82,6 @@ void write_encoded_group(BufferWriter& w, const Address& g) {
   w.u8(0);    // reserved
   w.u8(128);  // mask length
   g.write(w);
-}
-
-Address read_encoded_group(BufferReader& r) {
-  if (r.u8() != kFamilyIpv6) throw ParseError("encoded-group: not IPv6");
-  if (r.u8() != kEncodingNative) {
-    throw ParseError("encoded-group: unknown encoding");
-  }
-  r.skip(1);  // reserved
-  if (r.u8() != 128) throw ParseError("encoded-group: partial masks unsupported");
-  return Address::read(r);
 }
 
 ParseResult<Address> try_read_encoded_group(WireCursor& c) {
@@ -137,18 +114,6 @@ void write_encoded_source(BufferWriter& w, const Address& s,
   w.u8(flags);
   w.u8(128);  // mask length
   s.write(w);
-}
-
-Address read_encoded_source(BufferReader& r) {
-  if (r.u8() != kFamilyIpv6) throw ParseError("encoded-source: not IPv6");
-  if (r.u8() != kEncodingNative) {
-    throw ParseError("encoded-source: unknown encoding");
-  }
-  r.skip(1);  // flags
-  if (r.u8() != 128) {
-    throw ParseError("encoded-source: partial masks unsupported");
-  }
-  return Address::read(r);
 }
 
 ParseResult<Address> try_read_encoded_source(WireCursor& c) {
@@ -216,10 +181,6 @@ ParseResult<PimHello> PimHello::try_parse(BytesView body) {
                         "PIM Hello without holdtime option"};
   }
   return h;
-}
-
-PimHello PimHello::parse(BytesView body) {
-  return try_parse(body).take_or_throw();
 }
 
 // --- Join/Prune ----------------------------------------------------------------
@@ -300,10 +261,6 @@ ParseResult<PimJoinPrune> PimJoinPrune::try_parse(BytesView body) {
   return m;
 }
 
-PimJoinPrune PimJoinPrune::parse(BytesView body) {
-  return try_parse(body).take_or_throw();
-}
-
 PimJoinPrune PimJoinPrune::join(const Address& upstream, const Address& src,
                                 const Address& group) {
   PimJoinPrune m;
@@ -370,10 +327,6 @@ ParseResult<PimStateRefresh> PimStateRefresh::try_parse(BytesView body) {
   return m;
 }
 
-PimStateRefresh PimStateRefresh::parse(BytesView body) {
-  return try_parse(body).take_or_throw();
-}
-
 // --- Assert --------------------------------------------------------------------
 
 Bytes PimAssert::body() const {
@@ -404,10 +357,6 @@ ParseResult<PimAssert> PimAssert::try_parse(BytesView body) {
                         "trailing octets after PIM Assert"};
   }
   return a;
-}
-
-PimAssert PimAssert::parse(BytesView body) {
-  return try_parse(body).take_or_throw();
 }
 
 }  // namespace mip6

@@ -33,20 +33,15 @@ struct PimHeader {
 /// No-throw parse + checksum verification of a PIM payload.
 ParseResult<PimHeader> try_parse_pim(BytesView payload, const Address& src,
                                      const Address& dst);
-/// Throwing wrapper over try_parse_pim for legacy call sites.
-PimHeader parse_pim(BytesView payload, const Address& src, const Address& dst);
 
 // --- Encoded address blocks (family 2 = IPv6, encoding 0) -----------------
 
 void write_encoded_unicast(BufferWriter& w, const Address& a);
-Address read_encoded_unicast(BufferReader& r);
 ParseResult<Address> try_read_encoded_unicast(WireCursor& c);
 void write_encoded_group(BufferWriter& w, const Address& g);
-Address read_encoded_group(BufferReader& r);
 ParseResult<Address> try_read_encoded_group(WireCursor& c);
 void write_encoded_source(BufferWriter& w, const Address& s,
                           std::uint8_t flags = 0x4 /* S bit */);
-Address read_encoded_source(BufferReader& r);
 ParseResult<Address> try_read_encoded_source(WireCursor& c);
 
 // --- Hello -----------------------------------------------------------------
@@ -56,7 +51,6 @@ struct PimHello {
 
   Bytes body() const;
   static ParseResult<PimHello> try_parse(BytesView body);
-  static PimHello parse(BytesView body);
 };
 
 // --- Join/Prune (and Graft / Graft-Ack, same body) ---------------------------
@@ -75,7 +69,6 @@ struct PimJoinPrune {
   Bytes body() const;
   /// No-throw parse; bounds group records and per-group source counts.
   static ParseResult<PimJoinPrune> try_parse(BytesView body);
-  static PimJoinPrune parse(BytesView body);
 
   /// Single-source convenience constructors.
   static PimJoinPrune join(const Address& upstream, const Address& src,
@@ -102,7 +95,6 @@ struct PimStateRefresh {
 
   Bytes body() const;
   static ParseResult<PimStateRefresh> try_parse(BytesView body);
-  static PimStateRefresh parse(BytesView body);
 };
 
 // --- Assert ------------------------------------------------------------------
@@ -115,7 +107,6 @@ struct PimAssert {
 
   Bytes body() const;
   static ParseResult<PimAssert> try_parse(BytesView body);
-  static PimAssert parse(BytesView body);
 };
 
 }  // namespace mip6

@@ -33,69 +33,6 @@ void BufferWriter::patch_u16(std::size_t offset, std::uint16_t v) {
   buf_[offset + 1] = static_cast<std::uint8_t>(v);
 }
 
-void BufferReader::require(std::size_t n) const {
-  if (remaining() < n) {
-    throw ParseError("buffer underrun: need " + std::to_string(n) +
-                     " octets, have " + std::to_string(remaining()));
-  }
-}
-
-std::uint8_t BufferReader::u8() {
-  require(1);
-  return view_[pos_++];
-}
-
-std::uint16_t BufferReader::u16() {
-  require(2);
-  std::uint16_t v = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(view_[pos_]) << 8) | view_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t BufferReader::u32() {
-  require(4);
-  std::uint32_t v = (static_cast<std::uint32_t>(view_[pos_]) << 24) |
-                    (static_cast<std::uint32_t>(view_[pos_ + 1]) << 16) |
-                    (static_cast<std::uint32_t>(view_[pos_ + 2]) << 8) |
-                    static_cast<std::uint32_t>(view_[pos_ + 3]);
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t BufferReader::u64() {
-  std::uint64_t hi = u32();
-  std::uint64_t lo = u32();
-  return (hi << 32) | lo;
-}
-
-Bytes BufferReader::raw(std::size_t n) {
-  require(n);
-  Bytes out(view_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            view_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
-BytesView BufferReader::view(std::size_t n) {
-  require(n);
-  BytesView out = view_.subspan(pos_, n);
-  pos_ += n;
-  return out;
-}
-
-void BufferReader::skip(std::size_t n) {
-  require(n);
-  pos_ += n;
-}
-
-void BufferReader::expect_end(const char* what) const {
-  if (!empty()) {
-    throw ParseError(std::string(what) + ": " + std::to_string(remaining()) +
-                     " trailing octets");
-  }
-}
-
 std::string to_hex(BytesView bytes) {
   static const char* digits = "0123456789abcdef";
   std::string out;

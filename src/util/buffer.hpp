@@ -3,8 +3,9 @@
 // All protocol messages in this codebase are serialized to real octet
 // sequences in network byte order and parsed back on receive, mirroring what
 // an implementation on a wire would do. BufferWriter appends to a growable
-// byte vector; BufferReader consumes a read-only view and throws ParseError
-// on underrun, so every parser rejects truncated input by construction.
+// byte vector; the decoders read back through WireCursor
+// (util/parse_result.hpp), which latches a failure on underrun instead of
+// throwing.
 #pragma once
 
 #include <cstddef>
@@ -44,38 +45,6 @@ class BufferWriter {
 
  private:
   Bytes buf_;
-};
-
-/// Consumes a byte view front-to-back; throws ParseError on underrun.
-class BufferReader {
- public:
-  explicit BufferReader(BytesView view) : view_(view) {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  /// Reads exactly `n` octets into a fresh vector.
-  Bytes raw(std::size_t n);
-  /// Reads exactly `n` octets as a subview (no copy). The view is only valid
-  /// while the underlying buffer lives.
-  BytesView view(std::size_t n);
-  /// Skips `n` octets.
-  void skip(std::size_t n);
-
-  std::size_t remaining() const { return view_.size() - pos_; }
-  std::size_t position() const { return pos_; }
-  bool empty() const { return remaining() == 0; }
-
-  /// Throws ParseError unless the reader is fully consumed; call at the end
-  /// of a parse to reject trailing garbage.
-  void expect_end(const char* what) const;
-
- private:
-  void require(std::size_t n) const;
-
-  BytesView view_;
-  std::size_t pos_ = 0;
 };
 
 /// Renders bytes as lowercase hex, e.g. "0a1b2c". For diagnostics and tests.

@@ -6,10 +6,9 @@
 
 namespace mip6 {
 
-/// Thrown when a received byte sequence cannot be parsed as the expected
-/// protocol message (truncated, bad version field, inconsistent lengths...).
-/// Parsers throw this instead of asserting so that malformed-input tests and
-/// fuzz-style property tests can exercise every rejection path.
+/// Thrown by the text parsers (JSON, addresses and prefixes, fault plans,
+/// reproducer files) on malformed input. Wire decoders never throw: they
+/// return ParseResult (util/parse_result.hpp).
 class ParseError : public std::runtime_error {
  public:
   explicit ParseError(const std::string& what) : std::runtime_error(what) {}

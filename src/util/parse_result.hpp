@@ -1,14 +1,12 @@
 // No-throw parse taxonomy for hostile wire input.
 //
-// Every wire decoder in this codebase has a `try_*` entry point that returns
-// ParseResult<T> instead of throwing: malformed input is a *value* carrying a
-// ParseReason, so one bad option cannot unwind a dispatch path, and every
-// rejection is attributable to exactly one taxonomy bucket (the fuzz harness
-// asserts sum-of-reason-counters == total rejects). The legacy throwing
-// parsers remain as thin wrappers over the try_* forms for tests and
-// cold call sites.
+// Every wire decoder in this codebase has exactly one entry point, a `try_*`
+// function that returns ParseResult<T> instead of throwing: malformed input
+// is a *value* carrying a ParseReason, so one bad option cannot unwind a
+// dispatch path, and every rejection is attributable to exactly one taxonomy
+// bucket (the fuzz harness asserts sum-of-reason-counters == total rejects).
 //
-// WireCursor is the no-throw sibling of BufferReader: an underrun latches a
+// WireCursor is the reader every decoder is built on: an underrun latches a
 // failure flag and subsequent reads return zeros/empty views, so decoders
 // can read an entire fixed layout and check failed() once at the end.
 #pragma once
@@ -20,7 +18,6 @@
 #include <utility>
 
 #include "util/buffer.hpp"
-#include "util/errors.hpp"
 
 namespace mip6 {
 
@@ -106,12 +103,6 @@ class [[nodiscard]] ParseResult {
   T&& value() && { return *std::move(value_); }
 
   const ParseFailure& failure() const { return fail_; }
-
-  /// Bridge for the legacy throwing API: unwraps or throws ParseError.
-  T take_or_throw() && {
-    if (!ok()) throw ParseError(fail_.str());
-    return *std::move(value_);
-  }
 
  private:
   std::optional<T> value_;

@@ -111,10 +111,11 @@ TEST(McastMetrics, PerLinkLastTxSupportsLeaveDelay) {
   EXPECT_TRUE(t.metrics.last_data_tx_on(t.f.link5->id()).is_never());
 }
 
-// --- Differential check against the throwing parse ---------------------------
+// --- Differential check against a separately written accounting -------------
 
-/// The reference: McastMetrics' accounting with the throwing parsers, a
-/// copied UDP payload and a std::set of sequence numbers.
+/// The reference: McastMetrics' accounting written out separately, with
+/// parsed datagrams copied out, a copied UDP payload and a std::set of
+/// sequence numbers.
 class ReferenceMetrics {
  public:
   ReferenceMetrics(Network& net, Address group, std::uint16_t port)
@@ -127,37 +128,41 @@ class ReferenceMetrics {
   ~ReferenceMetrics() { net_->remove_tx_hook(hook_); }
 
   void on_tx(const Link& link, const Packet& pkt) {
-    ParsedDatagram d;
-    try {
-      d = parse_datagram(pkt.view());
-    } catch (const ParseError&) {
+    ParseResult<ParsedDatagram> outer = try_parse_datagram(pkt.view());
+    if (!outer.ok()) {
       ++rejected;
       return;
     }
+    const ParsedDatagram d = std::move(outer).value();
     bool tunneled = false;
     const ParsedDatagram* data = &d;
     ParsedDatagram inner;
     if (d.protocol == proto::kIpv6) {
-      try {
-        inner = parse_datagram(d.payload);
-      } catch (const ParseError&) {
+      ParseResult<ParsedDatagram> parsed = try_parse_datagram(d.payload);
+      if (!parsed.ok()) {
         ++rejected;
         return;
       }
+      inner = std::move(parsed).value();
       data = &inner;
       tunneled = true;
     }
     if (!(data->hdr.dst == group_) || data->protocol != proto::kUdp) return;
-    CbrPayload payload;
-    try {
-      UdpDatagram udp =
-          UdpDatagram::parse(data->payload, data->hdr.src, data->hdr.dst);
-      if (udp.dst_port != port_) return;
-      payload = CbrPayload::decode(udp.payload);
-    } catch (const ParseError&) {
+    const ParseResult<UdpView> udp =
+        UdpDatagram::try_view(data->payload, data->hdr.src, data->hdr.dst);
+    if (!udp.ok()) {
       ++rejected;
       return;
     }
+    if (udp.value().dst_port != port_) return;
+    const Bytes udp_payload(udp.value().payload.begin(),
+                            udp.value().payload.end());
+    const ParseResult<CbrPayload> decoded = CbrPayload::try_decode(udp_payload);
+    if (!decoded.ok()) {
+      ++rejected;
+      return;
+    }
+    const CbrPayload payload = decoded.value();
     ++data_tx;
     actual_bytes += pkt.size();
     if (tunneled) tunneled_bytes += pkt.size();

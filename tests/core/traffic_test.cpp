@@ -13,9 +13,10 @@ TEST(CbrPayload, RoundTrip) {
   p.sent_at = Time::ms(6789);
   Bytes wire = p.encode(64);
   EXPECT_EQ(wire.size(), 64u);
-  CbrPayload back = CbrPayload::decode(wire);
-  EXPECT_EQ(back.seq, 12345u);
-  EXPECT_EQ(back.sent_at, Time::ms(6789));
+  ParseResult<CbrPayload> back = CbrPayload::try_decode(wire);
+  ASSERT_TRUE(back.ok()) << back.failure().str();
+  EXPECT_EQ(back.value().seq, 12345u);
+  EXPECT_EQ(back.value().sent_at, Time::ms(6789));
 }
 
 TEST(CbrPayload, MinimumSizeEnforced) {
@@ -26,7 +27,9 @@ TEST(CbrPayload, MinimumSizeEnforced) {
 
 TEST(CbrPayload, DecodeRejectsTruncation) {
   Bytes wire(CbrPayload::kMinSize - 1);
-  EXPECT_THROW(CbrPayload::decode(wire), ParseError);
+  ParseResult<CbrPayload> back = CbrPayload::try_decode(wire);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kTruncated);
 }
 
 TEST(CbrPayload, TryDecodeFailsExactlyWhereDecodeThrows) {
@@ -36,15 +39,15 @@ TEST(CbrPayload, TryDecodeFailsExactlyWhereDecodeThrows) {
   const Bytes full = p.encode(64);
   for (std::size_t n : {0u, 4u, 11u, 12u, 64u}) {
     const BytesView wire(full.data(), n);
-    const std::optional<CbrPayload> got = CbrPayload::try_decode(wire);
+    const ParseResult<CbrPayload> got = CbrPayload::try_decode(wire);
     if (n < CbrPayload::kMinSize) {
-      EXPECT_FALSE(got.has_value()) << n;
-      EXPECT_THROW(CbrPayload::decode(wire), ParseError) << n;
+      ASSERT_FALSE(got.ok()) << n;
+      EXPECT_EQ(got.failure().reason, ParseReason::kTruncated) << n;
       continue;
     }
-    ASSERT_TRUE(got.has_value()) << n;
-    EXPECT_EQ(got->seq, 77u);
-    EXPECT_EQ(got->sent_at, Time::us(5));
+    ASSERT_TRUE(got.ok()) << n;
+    EXPECT_EQ(got.value().seq, 77u);
+    EXPECT_EQ(got.value().sent_at, Time::us(5));
   }
 }
 
@@ -77,7 +80,12 @@ TEST(CbrSource, SequenceNumbersIncrease) {
   Scheduler sched;
   std::vector<std::uint32_t> seqs;
   CbrSource src(
-      sched, [&](Bytes b) { seqs.push_back(CbrPayload::decode(b).seq); },
+      sched,
+      [&](Bytes b) {
+        const ParseResult<CbrPayload> p = CbrPayload::try_decode(b);
+        ASSERT_TRUE(p.ok()) << p.failure().str();
+        seqs.push_back(p.value().seq);
+      },
       Time::ms(100), 32);
   src.start(Time::zero());
   sched.run_until(Time::ms(300));

@@ -235,8 +235,9 @@ struct TimedChain {
     world.net().trace().set_sink(Trace::recorder(records));
     for (Link* l : {&l0, &l1, &l2}) {
       l->set_drop_fn([this](const Packet& pkt, const Interface& to) {
-        ParsedDatagram d = parse_datagram(pkt.view());
-        if (d.hdr.dst == group && d.protocol == proto::kUdp) {
+        const ParseResult<ParsedDatagram> d = try_parse_datagram(pkt.view());
+        if (d.ok() && d.value().hdr.dst == group &&
+            d.value().protocol == proto::kUdp) {
           last_rx[to.node().name()] = world.scheduler().now();
         }
         return false;

@@ -89,8 +89,18 @@ TEST(Address, SerializeRoundTrip) {
   BufferWriter w;
   a.write(w);
   EXPECT_EQ(w.size(), 16u);
-  BufferReader r(w.bytes());
-  EXPECT_EQ(Address::read(r), a);
+  WireCursor c(w.bytes());
+  EXPECT_EQ(Address::read(c), a);
+  EXPECT_FALSE(c.failed());
+  EXPECT_TRUE(c.empty());
+}
+
+TEST(Address, ShortReadReturnsUnspecifiedAndFailsCursor) {
+  Bytes fifteen(15, 0xff);
+  WireCursor c(fifteen);
+  EXPECT_EQ(Address::read(c), Address());
+  EXPECT_TRUE(c.failed());
+  EXPECT_TRUE(c.empty());
 }
 
 TEST(Address, FromBytesRejectsWrongSize) {

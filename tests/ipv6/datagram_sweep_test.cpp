@@ -46,7 +46,9 @@ TEST_P(DatagramSweep, RoundTripsExactly) {
   }
 
   Bytes wire = build_datagram(spec);
-  ParsedDatagram d = parse_datagram(wire);
+  ParseResult<ParsedDatagram> parsed = try_parse_datagram(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.failure().str();
+  const ParsedDatagram& d = parsed.value();
   EXPECT_EQ(d.hdr.src, spec.src);
   EXPECT_EQ(d.hdr.dst, spec.dst);
   EXPECT_EQ(d.hdr.hop_limit, 77);
@@ -95,10 +97,18 @@ TEST_P(TunnelDepthSweep, NestedEncapsulationUnwinds) {
         Address::from_prefix_iid(Address::parse("2001:db8::"), i + 100));
   }
   EXPECT_EQ(wire.size(), original.size() + depth * kTunnelOverhead);
+  // Each decapsulation parses the next datagram in place, inside the
+  // outermost octets.
+  ParseResult<ParsedDatagram> d = try_parse_datagram(wire);
+  BytesView innermost = wire;
   for (int i = 0; i < depth; ++i) {
-    wire = decapsulate(parse_datagram(wire));
+    ASSERT_TRUE(d.ok()) << d.failure().str();
+    innermost = d.value().payload;
+    d = try_decapsulate(d.value());
   }
-  EXPECT_EQ(wire, original);
+  ASSERT_TRUE(d.ok()) << d.failure().str();
+  EXPECT_EQ(Bytes(innermost.begin(), innermost.end()), original);
+  EXPECT_EQ(d.value().hdr.src, inner_spec.src);
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, TunnelDepthSweep,

@@ -24,7 +24,9 @@ TEST(RipngMessages, PayloadRoundTrip) {
   };
   Bytes payload = ripng_response_payload(rtes);
   EXPECT_EQ(payload.size(), 4 + 3 * 20);
-  auto back = parse_ripng_response(payload);
+  ParseResult<std::vector<RipngRte>> parsed = try_parse_ripng_response(payload);
+  ASSERT_TRUE(parsed.ok()) << parsed.failure().str();
+  const std::vector<RipngRte>& back = parsed.value();
   ASSERT_EQ(back.size(), 3u);
   EXPECT_EQ(back[0].prefix, rtes[0].prefix);
   EXPECT_EQ(back[1].metric, 7);
@@ -33,10 +35,14 @@ TEST(RipngMessages, PayloadRoundTrip) {
 
 TEST(RipngMessages, ParseRejectsMalformed) {
   Bytes bad{1, 1, 0, 0};  // command=Request (unsupported)
-  EXPECT_THROW(parse_ripng_response(bad), ParseError);
+  ParseResult<std::vector<RipngRte>> request = try_parse_ripng_response(bad);
+  ASSERT_FALSE(request.ok());
+  EXPECT_EQ(request.failure().reason, ParseReason::kBadType);
   Bytes trunc = ripng_response_payload({{Prefix::parse("::/0"), 1}});
   trunc.pop_back();
-  EXPECT_THROW(parse_ripng_response(trunc), ParseError);
+  ParseResult<std::vector<RipngRte>> cut = try_parse_ripng_response(trunc);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.failure().reason, ParseReason::kTruncated);
 }
 
 WorldConfig ripng_world_config() {

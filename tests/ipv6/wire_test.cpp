@@ -24,8 +24,11 @@ TEST(Ipv6Header, RoundTrip) {
   BufferWriter w;
   h.write(w);
   EXPECT_EQ(w.size(), Ipv6Header::kSize);
-  BufferReader r(w.bytes());
-  Ipv6Header back = Ipv6Header::read(r);
+  WireCursor c(w.bytes());
+  ParseResult<Ipv6Header> parsed = Ipv6Header::try_read(c);
+  ASSERT_TRUE(parsed.ok()) << parsed.failure().str();
+  EXPECT_TRUE(c.empty());
+  const Ipv6Header& back = parsed.value();
   EXPECT_EQ(back.traffic_class, 0xab);
   EXPECT_EQ(back.flow_label, 0xcdef1u);
   EXPECT_EQ(back.payload_length, 1234);
@@ -48,8 +51,10 @@ TEST(Ipv6Header, RejectsWrongVersion) {
   h.write(w);
   Bytes bad = w.bytes();
   bad[0] = 0x45;  // IPv4-looking version nibble
-  BufferReader r(bad);
-  EXPECT_THROW(Ipv6Header::read(r), ParseError);
+  WireCursor c(bad);
+  ParseResult<Ipv6Header> parsed = Ipv6Header::try_read(c);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.failure().reason, ParseReason::kBadType);
 }
 
 TEST(DestOptions, PadsToEightOctets) {
@@ -60,12 +65,13 @@ TEST(DestOptions, PadsToEightOctets) {
   h.write(w);
   EXPECT_EQ(w.size() % 8, 0u);
   EXPECT_EQ(w.size(), h.wire_size());
-  BufferReader r(w.bytes());
-  DestOptionsHeader back = DestOptionsHeader::read(r);
-  EXPECT_TRUE(r.empty());
-  ASSERT_EQ(back.options.size(), 1u);
-  EXPECT_EQ(back.options[0].type, opt::kHomeAddress);
-  EXPECT_EQ(back.options[0].data.size(), 16u);
+  WireCursor c(w.bytes());
+  ParseResult<DestOptionsHeader> back = DestOptionsHeader::try_read(c);
+  ASSERT_TRUE(back.ok()) << back.failure().str();
+  EXPECT_TRUE(c.empty());
+  ASSERT_EQ(back.value().options.size(), 1u);
+  EXPECT_EQ(back.value().options[0].type, opt::kHomeAddress);
+  EXPECT_EQ(back.value().options[0].data.size(), 16u);
 }
 
 TEST(DestOptions, MultipleOptionsSurviveRoundTrip) {
@@ -75,8 +81,10 @@ TEST(DestOptions, MultipleOptionsSurviveRoundTrip) {
   h.options.push_back(DestOption{opt::kHomeAddress, Bytes(16, 0xaa)});
   BufferWriter w;
   h.write(w);
-  BufferReader r(w.bytes());
-  DestOptionsHeader back = DestOptionsHeader::read(r);
+  WireCursor c(w.bytes());
+  ParseResult<DestOptionsHeader> parsed = DestOptionsHeader::try_read(c);
+  ASSERT_TRUE(parsed.ok()) << parsed.failure().str();
+  const DestOptionsHeader& back = parsed.value();
   ASSERT_EQ(back.options.size(), 2u);
   EXPECT_EQ(back.next_header, proto::kUdp);
   EXPECT_NE(back.find(opt::kBindingUpdate), nullptr);
@@ -91,9 +99,10 @@ TEST(DestOptions, PaddingOptionsInvisibleAfterParse) {
   BufferWriter w;
   h.write(w);
   EXPECT_EQ(w.size(), 8u);
-  BufferReader r(w.bytes());
-  DestOptionsHeader back = DestOptionsHeader::read(r);
-  EXPECT_TRUE(back.options.empty());
+  WireCursor c(w.bytes());
+  ParseResult<DestOptionsHeader> back = DestOptionsHeader::try_read(c);
+  ASSERT_TRUE(back.ok()) << back.failure().str();
+  EXPECT_TRUE(back.value().options.empty());
 }
 
 TEST(DestOptions, TruncatedHeaderThrows) {
@@ -103,8 +112,10 @@ TEST(DestOptions, TruncatedHeaderThrows) {
   BufferWriter w;
   h.write(w);
   Bytes trunc(w.bytes().begin(), w.bytes().end() - 4);
-  BufferReader r(trunc);
-  EXPECT_THROW(DestOptionsHeader::read(r), ParseError);
+  WireCursor c(trunc);
+  ParseResult<DestOptionsHeader> back = DestOptionsHeader::try_read(c);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kTruncated);
 }
 
 TEST(Datagram, BuildParseNoOptions) {
@@ -114,7 +125,9 @@ TEST(Datagram, BuildParseNoOptions) {
   spec.protocol = proto::kUdp;
   spec.payload = Bytes{9, 8, 7};
   Bytes wire = build_datagram(spec);
-  ParsedDatagram d = parse_datagram(wire);
+  ParseResult<ParsedDatagram> parsed = try_parse_datagram(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.failure().str();
+  const ParsedDatagram& d = parsed.value();
   EXPECT_EQ(d.hdr.src, spec.src);
   EXPECT_EQ(d.protocol, proto::kUdp);
   EXPECT_EQ(Bytes(d.payload.begin(), d.payload.end()), spec.payload);
@@ -132,7 +145,9 @@ TEST(Datagram, HomeAddressOptionOverridesEffectiveSource) {
                                           home.bytes().end())});
   spec.protocol = proto::kNoNext;
   Bytes wire = build_datagram(spec);
-  ParsedDatagram d = parse_datagram(wire);
+  ParseResult<ParsedDatagram> parsed = try_parse_datagram(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.failure().str();
+  const ParsedDatagram& d = parsed.value();
   EXPECT_EQ(d.hdr.src, spec.src);
   EXPECT_EQ(d.effective_src, home);
   EXPECT_TRUE(d.has_option(opt::kHomeAddress));
@@ -144,10 +159,14 @@ TEST(Datagram, PayloadLengthMismatchRejected) {
   spec.payload = Bytes(10);
   Bytes wire = build_datagram(spec);
   wire.pop_back();
-  EXPECT_THROW(parse_datagram(wire), ParseError);
+  ParseResult<ParsedDatagram> short_by_one = try_parse_datagram(wire);
+  ASSERT_FALSE(short_by_one.ok());
+  EXPECT_EQ(short_by_one.failure().reason, ParseReason::kTruncated);
   wire.push_back(0);
   wire.push_back(0);
-  EXPECT_THROW(parse_datagram(wire), ParseError);
+  ParseResult<ParsedDatagram> long_by_one = try_parse_datagram(wire);
+  ASSERT_FALSE(long_by_one.ok());
+  EXPECT_EQ(long_by_one.failure().reason, ParseReason::kOverlength);
 }
 
 TEST(Datagram, MalformedHomeAddressOptionRejected) {
@@ -155,7 +174,9 @@ TEST(Datagram, MalformedHomeAddressOptionRejected) {
   spec.dest_options.push_back(DestOption{opt::kHomeAddress, Bytes(8)});
   spec.protocol = proto::kNoNext;
   Bytes wire = build_datagram(spec);
-  EXPECT_THROW(parse_datagram(wire), ParseError);
+  ParseResult<ParsedDatagram> parsed = try_parse_datagram(wire);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.failure().reason, ParseReason::kBadLength);
 }
 
 TEST(Datagram, HopLimitDecrement) {
@@ -164,9 +185,9 @@ TEST(Datagram, HopLimitDecrement) {
   spec.protocol = proto::kNoNext;
   Bytes wire = build_datagram(spec);
   EXPECT_TRUE(decrement_hop_limit(wire));
-  EXPECT_EQ(parse_datagram(wire).hdr.hop_limit, 1);
+  EXPECT_EQ(try_parse_datagram(wire).value().hdr.hop_limit, 1);
   EXPECT_FALSE(decrement_hop_limit(wire));  // 1 -> must be discarded
-  EXPECT_EQ(parse_datagram(wire).hdr.hop_limit, 1);
+  EXPECT_EQ(try_parse_datagram(wire).value().hdr.hop_limit, 1);
 }
 
 TEST(Datagram, FuzzedInputNeverCrashes) {
@@ -174,11 +195,8 @@ TEST(Datagram, FuzzedInputNeverCrashes) {
   for (int trial = 0; trial < 2000; ++trial) {
     Bytes junk(rng.uniform_int(120));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_u64());
-    try {
-      parse_datagram(junk);
-    } catch (const ParseError&) {
-      // expected for almost all inputs
-    }
+    // Rejected for almost all inputs; either way it returns a value.
+    (void)try_parse_datagram(junk);
   }
 }
 
@@ -192,9 +210,12 @@ TEST(Datagram, TruncationFuzzAlwaysThrows) {
   Bytes wire = build_datagram(spec);
   for (std::size_t len = 0; len < wire.size(); ++len) {
     Bytes trunc(wire.begin(), wire.begin() + static_cast<long>(len));
-    EXPECT_THROW(parse_datagram(trunc), ParseError) << "len=" << len;
+    ParseResult<ParsedDatagram> parsed = try_parse_datagram(trunc);
+    ASSERT_FALSE(parsed.ok()) << "len=" << len;
+    EXPECT_EQ(parsed.failure().reason, ParseReason::kTruncated)
+        << "len=" << len;
   }
-  EXPECT_NO_THROW(parse_datagram(wire));
+  EXPECT_TRUE(try_parse_datagram(wire).ok());
 }
 
 TEST(Icmpv6, ChecksumRoundTrip) {
@@ -205,9 +226,10 @@ TEST(Icmpv6, ChecksumRoundTrip) {
   m.code = 0;
   m.body = Bytes{1, 2, 3, 4};
   Bytes wire = m.serialize(src, dst);
-  Icmpv6Message back = Icmpv6Message::parse(wire, src, dst);
-  EXPECT_EQ(back.type, 130);
-  EXPECT_EQ(back.body, m.body);
+  ParseResult<Icmpv6Message> back = Icmpv6Message::try_parse(wire, src, dst);
+  ASSERT_TRUE(back.ok()) << back.failure().str();
+  EXPECT_EQ(back.value().type, 130);
+  EXPECT_EQ(back.value().body, m.body);
 }
 
 TEST(Icmpv6, ChecksumCoversPseudoHeader) {
@@ -218,8 +240,10 @@ TEST(Icmpv6, ChecksumCoversPseudoHeader) {
   m.body = Bytes(20);
   Bytes wire = m.serialize(src, dst);
   // Same bytes with a different claimed source must fail verification.
-  EXPECT_THROW(Icmpv6Message::parse(wire, Address::parse("fe80::2"), dst),
-               ParseError);
+  ParseResult<Icmpv6Message> back =
+      Icmpv6Message::try_parse(wire, Address::parse("fe80::2"), dst);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kBadChecksum);
 }
 
 TEST(Icmpv6, CorruptionDetected) {
@@ -230,7 +254,9 @@ TEST(Icmpv6, CorruptionDetected) {
   m.body = Bytes{5, 6, 7, 8};
   Bytes wire = m.serialize(src, dst);
   wire[5] ^= 0x10;
-  EXPECT_THROW(Icmpv6Message::parse(wire, src, dst), ParseError);
+  ParseResult<Icmpv6Message> back = Icmpv6Message::try_parse(wire, src, dst);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kBadChecksum);
 }
 
 TEST(Udp, RoundTripWithChecksum) {
@@ -242,10 +268,12 @@ TEST(Udp, RoundTripWithChecksum) {
   u.payload = Bytes{1, 1, 2, 3, 5, 8};
   Bytes wire = u.serialize(src, dst);
   EXPECT_EQ(wire.size(), UdpDatagram::kHeaderSize + 6);
-  UdpDatagram back = UdpDatagram::parse(wire, src, dst);
-  EXPECT_EQ(back.src_port, 1234);
-  EXPECT_EQ(back.dst_port, 9000);
-  EXPECT_EQ(back.payload, u.payload);
+  ParseResult<UdpView> back = UdpDatagram::try_view(wire, src, dst);
+  ASSERT_TRUE(back.ok()) << back.failure().str();
+  EXPECT_EQ(back.value().src_port, 1234);
+  EXPECT_EQ(back.value().dst_port, 9000);
+  EXPECT_EQ(Bytes(back.value().payload.begin(), back.value().payload.end()),
+            u.payload);
 }
 
 TEST(Udp, LengthFieldValidated) {
@@ -255,7 +283,9 @@ TEST(Udp, LengthFieldValidated) {
   u.payload = Bytes(4);
   Bytes wire = u.serialize(src, dst);
   wire.push_back(0);  // trailing garbage breaks both checksum and length
-  EXPECT_THROW(UdpDatagram::parse(wire, src, dst), ParseError);
+  ParseResult<UdpView> back = UdpDatagram::try_view(wire, src, dst);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kBadChecksum);
 }
 
 TEST(Tunnel, EncapsulateDecapsulateRoundTrip) {
@@ -271,30 +301,43 @@ TEST(Tunnel, EncapsulateDecapsulateRoundTrip) {
   Bytes outer = encapsulate(inner, ha, coa);
   EXPECT_EQ(outer.size(), inner.size() + kTunnelOverhead);
 
-  ParsedDatagram parsed_outer = parse_datagram(outer);
-  EXPECT_EQ(parsed_outer.hdr.src, ha);
-  EXPECT_EQ(parsed_outer.hdr.dst, coa);
-  EXPECT_EQ(parsed_outer.protocol, proto::kIpv6);
-  Bytes back = decapsulate(parsed_outer);
-  EXPECT_EQ(back, inner);
-  ParsedDatagram parsed_inner = parse_datagram(back);
-  EXPECT_EQ(parsed_inner.hdr.dst, inner_spec.dst);
+  ParseResult<ParsedDatagram> parsed_outer = try_parse_datagram(outer);
+  ASSERT_TRUE(parsed_outer.ok()) << parsed_outer.failure().str();
+  EXPECT_EQ(parsed_outer.value().hdr.src, ha);
+  EXPECT_EQ(parsed_outer.value().hdr.dst, coa);
+  EXPECT_EQ(parsed_outer.value().protocol, proto::kIpv6);
+  // The inner datagram is the outer payload, parsed in place.
+  EXPECT_EQ(Bytes(parsed_outer.value().payload.begin(),
+                  parsed_outer.value().payload.end()),
+            inner);
+  ParseResult<ParsedDatagram> parsed_inner =
+      try_decapsulate(parsed_outer.value());
+  ASSERT_TRUE(parsed_inner.ok()) << parsed_inner.failure().str();
+  EXPECT_EQ(parsed_inner.value().hdr.dst, inner_spec.dst);
+  EXPECT_EQ(parsed_inner.value().payload.data(),
+            parsed_outer.value().payload.data() + Ipv6Header::kSize);
 }
 
 TEST(Tunnel, DecapsulateRejectsNonTunnel) {
   DatagramSpec spec;
   spec.protocol = proto::kUdp;
   spec.payload = Bytes(12);
-  ParsedDatagram d = parse_datagram(build_datagram(spec));
-  EXPECT_THROW(decapsulate(d), ParseError);
+  const Bytes wire = build_datagram(spec);
+  ParseResult<ParsedDatagram> inner =
+      try_decapsulate(try_parse_datagram(wire).value());
+  ASSERT_FALSE(inner.ok());
+  EXPECT_EQ(inner.failure().reason, ParseReason::kBadType);
 }
 
 TEST(Tunnel, DecapsulateRejectsGarbageInner) {
   DatagramSpec spec;
   spec.protocol = proto::kIpv6;
   spec.payload = Bytes{1, 2, 3};  // not a datagram
-  ParsedDatagram d = parse_datagram(build_datagram(spec));
-  EXPECT_THROW(decapsulate(d), ParseError);
+  const Bytes wire = build_datagram(spec);
+  ParseResult<ParsedDatagram> inner =
+      try_decapsulate(try_parse_datagram(wire).value());
+  ASSERT_FALSE(inner.ok());
+  EXPECT_EQ(inner.failure().reason, ParseReason::kTruncated);
 }
 
 TEST(Tunnel, NestedEncapsulation) {
@@ -303,11 +346,15 @@ TEST(Tunnel, NestedEncapsulation) {
   Bytes inner = build_datagram(inner_spec);
   Bytes mid = encapsulate(inner, Address::parse("::1"), Address::parse("::2"));
   Bytes outer = encapsulate(mid, Address::parse("::3"), Address::parse("::4"));
-  ParsedDatagram po = parse_datagram(outer);
-  Bytes back_mid = decapsulate(po);
-  ParsedDatagram pm = parse_datagram(back_mid);
-  Bytes back_inner = decapsulate(pm);
-  EXPECT_EQ(back_inner, inner);
+  ParseResult<ParsedDatagram> po = try_parse_datagram(outer);
+  ASSERT_TRUE(po.ok()) << po.failure().str();
+  ParseResult<ParsedDatagram> pm = try_decapsulate(po.value());
+  ASSERT_TRUE(pm.ok()) << pm.failure().str();
+  EXPECT_EQ(Bytes(pm.value().payload.begin(), pm.value().payload.end()),
+            inner);
+  ParseResult<ParsedDatagram> pi = try_decapsulate(pm.value());
+  ASSERT_TRUE(pi.ok()) << pi.failure().str();
+  EXPECT_EQ(pi.value().protocol, proto::kNoNext);
 }
 
 }  // namespace

@@ -13,7 +13,9 @@ TEST(Mipv6Messages, BindingUpdateRoundTrip) {
   bu.lifetime_s = 256;
   DestOption opt = bu.encode();
   EXPECT_EQ(opt.type, opt::kBindingUpdate);
-  BindingUpdateOption back = BindingUpdateOption::decode(opt);
+  ParseResult<BindingUpdateOption> parsed = BindingUpdateOption::try_decode(opt);
+  ASSERT_TRUE(parsed.ok()) << parsed.failure().str();
+  const BindingUpdateOption& back = parsed.value();
   EXPECT_TRUE(back.ack_requested);
   EXPECT_TRUE(back.home_registration);
   EXPECT_EQ(back.sequence, 4711);
@@ -25,9 +27,11 @@ TEST(Mipv6Messages, BindingUpdateFlagsIndependent) {
   BindingUpdateOption bu;
   bu.ack_requested = false;
   bu.home_registration = true;
-  BindingUpdateOption back = BindingUpdateOption::decode(bu.encode());
-  EXPECT_FALSE(back.ack_requested);
-  EXPECT_TRUE(back.home_registration);
+  ParseResult<BindingUpdateOption> back =
+      BindingUpdateOption::try_decode(bu.encode());
+  ASSERT_TRUE(back.ok()) << back.failure().str();
+  EXPECT_FALSE(back.value().ack_requested);
+  EXPECT_TRUE(back.value().home_registration);
 }
 
 TEST(Mipv6Messages, BindingUpdateWithSubOptions) {
@@ -38,14 +42,19 @@ TEST(Mipv6Messages, BindingUpdateWithSubOptions) {
   list.groups.push_back(Address::parse("ff1e::2"));
   bu.sub_options.push_back(list.encode());
 
-  BindingUpdateOption back = BindingUpdateOption::decode(bu.encode());
+  ParseResult<BindingUpdateOption> parsed =
+      BindingUpdateOption::try_decode(bu.encode());
+  ASSERT_TRUE(parsed.ok()) << parsed.failure().str();
+  const BindingUpdateOption& back = parsed.value();
   ASSERT_EQ(back.sub_options.size(), 2u);
   EXPECT_NE(back.find_sub_option(subopt::kUniqueIdentifier), nullptr);
   const BuSubOption* sub = back.find_sub_option(subopt::kMulticastGroupList);
   ASSERT_NE(sub, nullptr);
-  MulticastGroupListSubOption got = MulticastGroupListSubOption::decode(*sub);
-  ASSERT_EQ(got.groups.size(), 2u);
-  EXPECT_EQ(got.groups[1], Address::parse("ff1e::2"));
+  ParseResult<MulticastGroupListSubOption> got =
+      MulticastGroupListSubOption::try_decode(*sub);
+  ASSERT_TRUE(got.ok()) << got.failure().str();
+  ASSERT_EQ(got.value().groups.size(), 2u);
+  EXPECT_EQ(got.value().groups[1], Address::parse("ff1e::2"));
 }
 
 TEST(Mipv6Messages, GroupListLenIsSixteenTimesN) {
@@ -59,9 +68,10 @@ TEST(Mipv6Messages, GroupListLenIsSixteenTimesN) {
     BuSubOption sub = list.encode();
     EXPECT_EQ(sub.type, subopt::kMulticastGroupList);
     EXPECT_EQ(sub.data.size(), 16 * n);
-    MulticastGroupListSubOption back =
-        MulticastGroupListSubOption::decode(sub);
-    EXPECT_EQ(back.groups.size(), n);
+    ParseResult<MulticastGroupListSubOption> back =
+        MulticastGroupListSubOption::try_decode(sub);
+    ASSERT_TRUE(back.ok()) << back.failure().str();
+    EXPECT_EQ(back.value().groups.size(), n);
   }
 }
 
@@ -78,14 +88,20 @@ TEST(Mipv6Messages, GroupListCapsAtFifteenGroups) {
 
 TEST(Mipv6Messages, GroupListRejectsBadLength) {
   BuSubOption sub{subopt::kMulticastGroupList, Bytes(17)};
-  EXPECT_THROW(MulticastGroupListSubOption::decode(sub), ParseError);
+  ParseResult<MulticastGroupListSubOption> back =
+      MulticastGroupListSubOption::try_decode(sub);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kBadLength);
 }
 
 TEST(Mipv6Messages, GroupListRejectsUnicastEntries) {
   Address unicast = Address::parse("2001:db8::1");
   BuSubOption sub{subopt::kMulticastGroupList,
                   Bytes(unicast.bytes().begin(), unicast.bytes().end())};
-  EXPECT_THROW(MulticastGroupListSubOption::decode(sub), ParseError);
+  ParseResult<MulticastGroupListSubOption> back =
+      MulticastGroupListSubOption::try_decode(sub);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kSemantic);
 }
 
 TEST(Mipv6Messages, BindingAckRoundTrip) {
@@ -94,16 +110,19 @@ TEST(Mipv6Messages, BindingAckRoundTrip) {
   ack.sequence = 99;
   ack.lifetime_s = 256;
   ack.refresh_s = 128;
-  BindingAckOption back = BindingAckOption::decode(ack.encode());
-  EXPECT_EQ(back.sequence, 99);
-  EXPECT_EQ(back.lifetime_s, 256u);
-  EXPECT_EQ(back.refresh_s, 128u);
+  ParseResult<BindingAckOption> back = BindingAckOption::try_decode(ack.encode());
+  ASSERT_TRUE(back.ok()) << back.failure().str();
+  EXPECT_EQ(back.value().sequence, 99);
+  EXPECT_EQ(back.value().lifetime_s, 256u);
+  EXPECT_EQ(back.value().refresh_s, 128u);
 }
 
 TEST(Mipv6Messages, BindingAckRejectsTrailing) {
   DestOption opt = BindingAckOption{}.encode();
   opt.data.push_back(0);
-  EXPECT_THROW(BindingAckOption::decode(opt), ParseError);
+  ParseResult<BindingAckOption> back = BindingAckOption::try_decode(opt);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kOverlength);
 }
 
 TEST(Mipv6Messages, HomeAddressRoundTrip) {
@@ -112,21 +131,31 @@ TEST(Mipv6Messages, HomeAddressRoundTrip) {
   DestOption opt = h.encode();
   EXPECT_EQ(opt.type, opt::kHomeAddress);
   EXPECT_EQ(opt.data.size(), 16u);
-  EXPECT_EQ(HomeAddressOption::decode(opt).home_address, h.home_address);
+  ParseResult<HomeAddressOption> back = HomeAddressOption::try_decode(opt);
+  ASSERT_TRUE(back.ok()) << back.failure().str();
+  EXPECT_EQ(back.value().home_address, h.home_address);
 }
 
 TEST(Mipv6Messages, DecodeRejectsWrongOptionType) {
   DestOption wrong{opt::kBindingAck, Bytes(11)};
-  EXPECT_THROW(BindingUpdateOption::decode(wrong), ParseError);
+  ParseResult<BindingUpdateOption> bu = BindingUpdateOption::try_decode(wrong);
+  ASSERT_FALSE(bu.ok());
+  EXPECT_EQ(bu.failure().reason, ParseReason::kBadType);
   DestOption wrong2{opt::kBindingUpdate, Bytes(8)};
-  EXPECT_THROW(BindingAckOption::decode(wrong2), ParseError);
-  EXPECT_THROW(HomeAddressOption::decode(wrong2), ParseError);
+  ParseResult<BindingAckOption> ack = BindingAckOption::try_decode(wrong2);
+  ASSERT_FALSE(ack.ok());
+  EXPECT_EQ(ack.failure().reason, ParseReason::kBadType);
+  ParseResult<HomeAddressOption> home = HomeAddressOption::try_decode(wrong2);
+  ASSERT_FALSE(home.ok());
+  EXPECT_EQ(home.failure().reason, ParseReason::kBadType);
 }
 
 TEST(Mipv6Messages, TruncatedBindingUpdateRejected) {
   DestOption opt = BindingUpdateOption{}.encode();
   opt.data.resize(3);
-  EXPECT_THROW(BindingUpdateOption::decode(opt), ParseError);
+  ParseResult<BindingUpdateOption> back = BindingUpdateOption::try_decode(opt);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kTruncated);
 }
 
 }  // namespace

@@ -131,13 +131,10 @@ TEST(Mipv6, BindingUpdateRetransmittedWhenAckLost) {
   int dropped = 0;
   t.fl.set_drop_fn([&](const Packet& pkt, const Interface& to) {
     if (&to.node() != t.mn.node) return false;
-    try {
-      ParsedDatagram d = parse_datagram(pkt.view());
-      if (d.has_option(opt::kBindingAck)) {
-        ++dropped;
-        return true;
-      }
-    } catch (const ParseError&) {
+    const ParseResult<ParsedDatagram> d = try_parse_datagram(pkt.view());
+    if (d.ok() && d.value().has_option(opt::kBindingAck)) {
+      ++dropped;
+      return true;
     }
     return false;
   });
@@ -161,24 +158,22 @@ TEST(Mipv6, BuRetransmissionBacksOffExponentiallyToCap) {
   std::vector<std::uint16_t> bu_sequences;
   t.tl.set_drop_fn([&](const Packet& pkt, const Interface& to) {
     if (&to.node() == t.ha.node) {
-      try {
-        ParsedDatagram d = parse_datagram(pkt.view());
-        if (const DestOption* o = d.find_option(opt::kBindingUpdate)) {
-          bu_times.push_back(t.world.now());
-          bu_sequences.push_back(BindingUpdateOption::decode(*o).sequence);
-        }
-      } catch (const ParseError&) {
+      const ParseResult<ParsedDatagram> d = try_parse_datagram(pkt.view());
+      const DestOption* o =
+          d.ok() ? d.value().find_option(opt::kBindingUpdate) : nullptr;
+      if (o != nullptr) {
+        bu_times.push_back(t.world.now());
+        const ParseResult<BindingUpdateOption> bu =
+            BindingUpdateOption::try_decode(*o);
+        if (bu.ok()) bu_sequences.push_back(bu.value().sequence);
       }
     }
     return false;
   });
   t.fl.set_drop_fn([&](const Packet& pkt, const Interface& to) {
     if (&to.node() != t.mn.node) return false;
-    try {
-      return parse_datagram(pkt.view()).has_option(opt::kBindingAck);
-    } catch (const ParseError&) {
-      return false;
-    }
+    const ParseResult<ParsedDatagram> d = try_parse_datagram(pkt.view());
+    return d.ok() && d.value().has_option(opt::kBindingAck);
   });
 
   t.mn.mn->move_to(t.fl);

@@ -15,10 +15,11 @@ TEST(MldMessages, QueryRoundTrip) {
   Icmpv6Message icmp = q.to_icmpv6();
   EXPECT_EQ(icmp.type, 130);
   EXPECT_EQ(icmp.body.size(), 20u);
-  MldMessage back = MldMessage::from_icmpv6(icmp);
-  EXPECT_EQ(back.type, MldType::kQuery);
-  EXPECT_EQ(back.max_response_delay_ms, 10000);
-  EXPECT_TRUE(back.is_general_query());
+  ParseResult<MldMessage> back = MldMessage::try_from_icmpv6(icmp);
+  ASSERT_TRUE(back.ok()) << back.failure().str();
+  EXPECT_EQ(back.value().type, MldType::kQuery);
+  EXPECT_EQ(back.value().max_response_delay_ms, 10000);
+  EXPECT_TRUE(back.value().is_general_query());
 }
 
 TEST(MldMessages, GroupSpecificQuery) {
@@ -26,9 +27,10 @@ TEST(MldMessages, GroupSpecificQuery) {
   q.type = MldType::kQuery;
   q.max_response_delay_ms = 1000;
   q.group = Address::parse("ff1e::1");
-  MldMessage back = MldMessage::from_icmpv6(q.to_icmpv6());
-  EXPECT_FALSE(back.is_general_query());
-  EXPECT_EQ(back.group, q.group);
+  ParseResult<MldMessage> back = MldMessage::try_from_icmpv6(q.to_icmpv6());
+  ASSERT_TRUE(back.ok()) << back.failure().str();
+  EXPECT_FALSE(back.value().is_general_query());
+  EXPECT_EQ(back.value().group, q.group);
 }
 
 TEST(MldMessages, ReportAndDoneRoundTrip) {
@@ -36,9 +38,10 @@ TEST(MldMessages, ReportAndDoneRoundTrip) {
     MldMessage m;
     m.type = type;
     m.group = Address::parse("ff1e::42");
-    MldMessage back = MldMessage::from_icmpv6(m.to_icmpv6());
-    EXPECT_EQ(back.type, type);
-    EXPECT_EQ(back.group, m.group);
+    ParseResult<MldMessage> back = MldMessage::try_from_icmpv6(m.to_icmpv6());
+    ASSERT_TRUE(back.ok()) << back.failure().str();
+    EXPECT_EQ(back.value().type, type);
+    EXPECT_EQ(back.value().group, m.group);
   }
 }
 
@@ -46,7 +49,9 @@ TEST(MldMessages, RejectsNonMldType) {
   Icmpv6Message icmp;
   icmp.type = 128;  // echo request
   icmp.body = Bytes(20);
-  EXPECT_THROW(MldMessage::from_icmpv6(icmp), ParseError);
+  ParseResult<MldMessage> back = MldMessage::try_from_icmpv6(icmp);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kBadType);
 }
 
 TEST(MldMessages, RejectsTruncatedBody) {
@@ -55,7 +60,9 @@ TEST(MldMessages, RejectsTruncatedBody) {
   m.group = Address::parse("ff1e::1");
   Icmpv6Message icmp = m.to_icmpv6();
   icmp.body.resize(19);
-  EXPECT_THROW(MldMessage::from_icmpv6(icmp), ParseError);
+  ParseResult<MldMessage> back = MldMessage::try_from_icmpv6(icmp);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kTruncated);
 }
 
 TEST(MldMessages, RejectsTrailingBytes) {
@@ -64,14 +71,18 @@ TEST(MldMessages, RejectsTrailingBytes) {
   m.group = Address::parse("ff1e::1");
   Icmpv6Message icmp = m.to_icmpv6();
   icmp.body.push_back(0);
-  EXPECT_THROW(MldMessage::from_icmpv6(icmp), ParseError);
+  ParseResult<MldMessage> back = MldMessage::try_from_icmpv6(icmp);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kOverlength);
 }
 
 TEST(MldMessages, ReportWithoutGroupRejected) {
   MldMessage m;
   m.type = MldType::kReport;
   m.group = Address();  // unspecified: invalid for report/done
-  EXPECT_THROW(MldMessage::from_icmpv6(m.to_icmpv6()), ParseError);
+  ParseResult<MldMessage> back = MldMessage::try_from_icmpv6(m.to_icmpv6());
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.failure().reason, ParseReason::kSemantic);
 }
 
 TEST(MldConfig, DerivedIntervalsMatchRfcDefaults) {

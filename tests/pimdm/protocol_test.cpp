@@ -113,14 +113,11 @@ TEST(PimDm, GraftRetransmittedUntilAcked) {
   // Drop all Graft-Acks on L2 (towards R2).
   t.l2.set_drop_fn([&t](const Packet& pkt, const Interface& to) {
     if (&to.node() != t.r2.node) return false;
-    try {
-      ParsedDatagram d = parse_datagram(pkt.view());
-      if (d.protocol != proto::kPim) return false;
-      PimHeader h = parse_pim(d.payload, d.hdr.src, d.hdr.dst);
-      return h.type == PimType::kGraftAck;
-    } catch (const ParseError&) {
-      return false;
-    }
+    const ParseResult<ParsedDatagram> d = try_parse_datagram(pkt.view());
+    if (!d.ok() || d.value().protocol != proto::kPim) return false;
+    const ParseResult<PimHeader> h = try_parse_pim(
+        d.value().payload, d.value().hdr.src, d.value().hdr.dst);
+    return h.ok() && h.value().type == PimType::kGraftAck;
   });
 
   CbrSource source(
@@ -183,8 +180,9 @@ struct TimedChain {
     t.world.net().trace().set_sink(Trace::recorder(records));
     for (Link* l : {&t.l0, &t.l1, &t.l2}) {
       l->set_drop_fn([this](const Packet& pkt, const Interface& to) {
-        ParsedDatagram d = parse_datagram(pkt.view());
-        if (d.hdr.dst == kGroup && d.protocol == proto::kUdp) {
+        const ParseResult<ParsedDatagram> d = try_parse_datagram(pkt.view());
+        if (d.ok() && d.value().hdr.dst == kGroup &&
+            d.value().protocol == proto::kUdp) {
           last_rx[to.node().name()] = t.world.scheduler().now();
         }
         return false;

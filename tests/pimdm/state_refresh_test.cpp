@@ -126,7 +126,9 @@ TEST(StateRefresh, MessageRoundTrip) {
   sr.ttl = 7;
   sr.prune_indicator = true;
   sr.interval_s = 60;
-  PimStateRefresh back = PimStateRefresh::parse(sr.body());
+  ParseResult<PimStateRefresh> parsed = PimStateRefresh::try_parse(sr.body());
+  ASSERT_TRUE(parsed.ok()) << parsed.failure().str();
+  const PimStateRefresh& back = parsed.value();
   EXPECT_EQ(back.group, sr.group);
   EXPECT_EQ(back.source, sr.source);
   EXPECT_EQ(back.originator, sr.originator);
@@ -143,7 +145,9 @@ TEST(StateRefresh, ParseRejectsTruncation) {
   sr.originator = Address::parse("2001:db8::2");
   Bytes body = sr.body();
   body.pop_back();
-  EXPECT_THROW(PimStateRefresh::parse(body), ParseError);
+  ParseResult<PimStateRefresh> parsed = PimStateRefresh::try_parse(body);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.failure().reason, ParseReason::kTruncated);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/parse_result.hpp"
+
 namespace mip6 {
 namespace {
 
@@ -49,54 +51,75 @@ TEST(BufferWriter, TakeMovesBufferOut) {
   EXPECT_EQ(to_hex(b), "1234");
 }
 
-TEST(BufferReader, ReadsBackWhatWriterWrote) {
+TEST(WireCursor, ReadsBackWhatWriterWrote) {
   BufferWriter w;
   w.u8(7);
   w.u16(500);
   w.u32(70000);
   w.u64(1ULL << 40);
+  w.raw(Bytes{0xaa, 0xbb, 0xcc});
+  w.raw(Bytes{0xdd, 0xee});
   Bytes data = std::move(w).take();
-  BufferReader r(data);
-  EXPECT_EQ(r.u8(), 7);
-  EXPECT_EQ(r.u16(), 500);
-  EXPECT_EQ(r.u32(), 70000u);
-  EXPECT_EQ(r.u64(), 1ULL << 40);
-  EXPECT_TRUE(r.empty());
+  WireCursor c(data);
+  EXPECT_EQ(c.u8(), 7);
+  EXPECT_EQ(c.u16(), 500);
+  EXPECT_EQ(c.u32(), 70000u);
+  EXPECT_EQ(c.u64(), 1ULL << 40);
+  BytesView view = c.view(3);
+  EXPECT_EQ(to_hex(view), "aabbcc");
+  // The view aliases the input; raw copies it out.
+  EXPECT_EQ(view.data(), data.data() + 15);
+  EXPECT_EQ(c.raw(2), (Bytes{0xdd, 0xee}));
+  EXPECT_TRUE(c.empty());
+  EXPECT_FALSE(c.failed());
 }
 
-TEST(BufferReader, UnderrunThrowsParseError) {
-  Bytes data{1, 2};
-  BufferReader r(data);
-  EXPECT_THROW(r.u32(), ParseError);
-  // Failed read must not consume.
-  EXPECT_EQ(r.remaining(), 2u);
-  EXPECT_EQ(r.u16(), 0x0102);
-}
-
-TEST(BufferReader, RawAndViewConsume) {
-  Bytes data{1, 2, 3, 4, 5};
-  BufferReader r(data);
-  Bytes head = r.raw(2);
-  EXPECT_EQ(to_hex(head), "0102");
-  BytesView rest = r.view(3);
-  EXPECT_EQ(to_hex(rest), "030405");
-  EXPECT_TRUE(r.empty());
-}
-
-TEST(BufferReader, SkipAdvances) {
+TEST(WireCursor, UnderrunLatchesFailureAndClampsToEnd) {
   Bytes data{1, 2, 3};
-  BufferReader r(data);
-  r.skip(2);
-  EXPECT_EQ(r.u8(), 3);
-  EXPECT_THROW(r.skip(1), ParseError);
+  WireCursor c(data);
+  EXPECT_EQ(c.u8(), 1);
+  EXPECT_EQ(c.u32(), 0u);
+  EXPECT_TRUE(c.failed());
+  EXPECT_EQ(c.position(), data.size());
+  EXPECT_EQ(c.remaining(), 0u);
+  // Every later read yields zero or an empty view, and the flag stays set.
+  EXPECT_EQ(c.u8(), 0);
+  EXPECT_EQ(c.u16(), 0);
+  EXPECT_EQ(c.u32(), 0u);
+  EXPECT_EQ(c.u64(), 0u);
+  EXPECT_TRUE(c.view(0).empty());
+  EXPECT_TRUE(c.view(1).empty());
+  EXPECT_TRUE(c.raw(1).empty());
+  EXPECT_TRUE(c.failed());
+  EXPECT_EQ(c.position(), data.size());
 }
 
-TEST(BufferReader, ExpectEndRejectsTrailingBytes) {
-  Bytes data{1};
-  BufferReader r(data);
-  EXPECT_THROW(r.expect_end("msg"), ParseError);
-  r.u8();
-  EXPECT_NO_THROW(r.expect_end("msg"));
+TEST(WireCursor, SkipPastEndFails) {
+  Bytes data{1, 2, 3};
+  WireCursor c(data);
+  c.skip(2);
+  EXPECT_FALSE(c.failed());
+  EXPECT_EQ(c.u8(), 3);
+  c.skip(1);
+  EXPECT_TRUE(c.failed());
+  EXPECT_EQ(c.position(), data.size());
+}
+
+TEST(WireCursor, RemainingAndEmptyReportWhatIsLeft) {
+  Bytes data{1, 2, 3, 4, 5};
+  WireCursor c(data);
+  EXPECT_EQ(c.remaining(), 5u);
+  EXPECT_FALSE(c.empty());
+  c.u16();
+  EXPECT_EQ(c.remaining(), 3u);
+  EXPECT_EQ(c.position(), 2u);
+  c.view(3);
+  EXPECT_EQ(c.remaining(), 0u);
+  EXPECT_TRUE(c.empty());
+  EXPECT_FALSE(c.failed());
+  WireCursor none{BytesView{}};
+  EXPECT_TRUE(none.empty());
+  EXPECT_FALSE(none.failed());
 }
 
 TEST(ToHex, EmptyAndValues) {
