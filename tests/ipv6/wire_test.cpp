@@ -185,9 +185,13 @@ TEST(Datagram, HopLimitDecrement) {
   spec.protocol = proto::kNoNext;
   Bytes wire = build_datagram(spec);
   EXPECT_TRUE(decrement_hop_limit(wire));
-  EXPECT_EQ(try_parse_datagram(wire).value().hdr.hop_limit, 1);
+  ParseResult<ParsedDatagram> once = try_parse_datagram(wire);
+  ASSERT_TRUE(once.ok()) << once.failure().str();
+  EXPECT_EQ(once.value().hdr.hop_limit, 1);
   EXPECT_FALSE(decrement_hop_limit(wire));  // 1 -> must be discarded
-  EXPECT_EQ(try_parse_datagram(wire).value().hdr.hop_limit, 1);
+  ParseResult<ParsedDatagram> kept = try_parse_datagram(wire);
+  ASSERT_TRUE(kept.ok()) << kept.failure().str();
+  EXPECT_EQ(kept.value().hdr.hop_limit, 1);
 }
 
 TEST(Datagram, FuzzedInputNeverCrashes) {
@@ -323,8 +327,9 @@ TEST(Tunnel, DecapsulateRejectsNonTunnel) {
   spec.protocol = proto::kUdp;
   spec.payload = Bytes(12);
   const Bytes wire = build_datagram(spec);
-  ParseResult<ParsedDatagram> inner =
-      try_decapsulate(try_parse_datagram(wire).value());
+  ParseResult<ParsedDatagram> outer = try_parse_datagram(wire);
+  ASSERT_TRUE(outer.ok()) << outer.failure().str();
+  ParseResult<ParsedDatagram> inner = try_decapsulate(outer.value());
   ASSERT_FALSE(inner.ok());
   EXPECT_EQ(inner.failure().reason, ParseReason::kBadType);
 }
@@ -334,8 +339,9 @@ TEST(Tunnel, DecapsulateRejectsGarbageInner) {
   spec.protocol = proto::kIpv6;
   spec.payload = Bytes{1, 2, 3};  // not a datagram
   const Bytes wire = build_datagram(spec);
-  ParseResult<ParsedDatagram> inner =
-      try_decapsulate(try_parse_datagram(wire).value());
+  ParseResult<ParsedDatagram> outer = try_parse_datagram(wire);
+  ASSERT_TRUE(outer.ok()) << outer.failure().str();
+  ParseResult<ParsedDatagram> inner = try_decapsulate(outer.value());
   ASSERT_FALSE(inner.ok());
   EXPECT_EQ(inner.failure().reason, ParseReason::kTruncated);
 }
