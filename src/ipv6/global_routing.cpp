@@ -165,27 +165,22 @@ void GlobalRouting::autoconfigure_hosts() {
 std::vector<GlobalRouting::LinkHop> GlobalRouting::link_bfs(
     LinkId root) const {
   // dist/parent over the link graph; two links are adjacent if a forwarding
-  // stack has interfaces attached to both. Each link's forwarding stacks,
-  // in registration order, gathered in one pass.
-  std::vector<std::vector<const Ipv6Stack*>> on_link(net_->links().size());
-  for (const Ipv6Stack* s : stacks_) {
-    if (!s->forwarding()) continue;
-    for (const auto& iface : s->node().interfaces()) {
-      if (!iface->attached()) continue;
-      auto& stacks = on_link[iface->link()->id()];
-      // A stack's interfaces come together: skip its second on one link.
-      if (stacks.empty() || stacks.back() != s) stacks.push_back(s);
-    }
-  }
-
-  std::vector<LinkHop> hops(on_link.size(), LinkHop{-1, root});
+  // stack has interfaces attached to both.
+  std::vector<LinkHop> hops(net_->links().size(), LinkHop{-1, root});
   hops.at(root) = {0, root};
   std::vector<LinkId> queue{root};
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const LinkId cur = queue[head];
     const int d = hops[cur].dist;
-    for (const Ipv6Stack* s : on_link[cur]) {
-      for (const auto& iface : s->node().interfaces()) {
+    for (Ipv6Stack* s : stacks_) {
+      if (!s->forwarding()) continue;
+      const auto& ifaces = s->node().interfaces();
+      if (std::none_of(ifaces.begin(), ifaces.end(), [cur](const auto& i) {
+            return i->attached() && i->link()->id() == cur;
+          })) {
+        continue;
+      }
+      for (const auto& iface : ifaces) {
         if (!iface->attached() || !iface->link()->up()) continue;
         LinkHop& next = hops[iface->link()->id()];
         if (next.dist >= 0) continue;
