@@ -91,8 +91,8 @@ class NodeRuntime {
   MldRouter* mld = nullptr;
   MldHost* mld_host = nullptr;
   /// Whichever dense-mode engine the router runs (aliases pim or hpim).
-  /// Engine-agnostic code — the auditor, metrics, the home-agent backend —
-  /// goes through this one.
+  /// Engine-agnostic code — the auditor, metrics, the home agent — goes
+  /// through this one.
   DenseModeEngine* dense = nullptr;
   PimDmRouter* pim = nullptr;
   HpimDmRouter* hpim = nullptr;

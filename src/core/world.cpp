@@ -98,12 +98,8 @@ NodeRuntime& World::add_router(const std::string& name,
   if (opts.with_ha) {
     // Home agent with dense-engine-backed group membership ("HA is a
     // multicast router") — engine-agnostic, so either engine serves.
-    DenseModeEngine* dense = rt->dense;
     rt->ha = &rt->emplace_module<HomeAgent>(
-        *rt->stack, opts.mipv6.value_or(config_.mipv6),
-        HomeAgent::MembershipBackend{
-            [dense](const Address& g) { dense->add_local_receiver(g); },
-            [dense](const Address& g) { dense->remove_local_receiver(g); }});
+        *rt->stack, *rt->dense, opts.mipv6.value_or(config_.mipv6));
   }
   if (opts.with_proxy && rt->dense != nullptr) {
     // hier-proxy agent: idle (no timers, no traffic) until an MN registers,

@@ -128,7 +128,6 @@ class World {
   /// co-sharding constraints leave a single component). Execution is
   /// byte-identical to serial at any returned count.
   std::uint32_t enable_parallel(std::uint32_t threads);
-  void disable_parallel() { net_.disable_sharding(); }
 
   std::uint64_t run_until(Time t) { return net_.scheduler().run_until(t); }
 

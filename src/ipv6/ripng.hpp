@@ -77,7 +77,6 @@ class Ripng : public ProtocolModule {
   /// The interfaces RIPng is currently enabled on (for restart wiring).
   const std::vector<IfaceId>& enabled_ifaces() const { return ifaces_; }
 
-  std::size_t route_count() const { return routes_.size(); }
   /// Metric toward `prefix`, or infinity if unknown.
   std::uint8_t metric_of(const Prefix& prefix) const;
 

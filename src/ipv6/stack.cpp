@@ -158,6 +158,22 @@ Interface* Ipv6Stack::iface_ptr(IfaceId id) const {
   return &node_->iface_by_id(id);
 }
 
+namespace {
+
+// The destination of octets this node built or already verified: only the
+// fixed header is read. Octets that do not start with one are a caller bug.
+Address datagram_dst(BytesView datagram, const char* caller) {
+  WireCursor c(datagram);
+  const ParseResult<Ipv6Header> hdr = Ipv6Header::try_read(c);
+  if (!hdr.ok()) {
+    throw LogicError(std::string(caller) + " on a malformed datagram: " +
+                     hdr.failure().str());
+  }
+  return hdr.value().dst;
+}
+
+}  // namespace
+
 bool Ipv6Stack::transmit_unicast_on(IfaceId iface, const Address& l2_target,
                                     const Packet& pkt) {
   Interface* i = iface_ptr(iface);
@@ -179,14 +195,8 @@ bool Ipv6Stack::send(const DatagramSpec& spec) {
 }
 
 bool Ipv6Stack::send_raw(Bytes datagram) {
-  // The octets were built or already verified by this node: a parse
-  // failure is a caller bug.
-  const ParseResult<ParsedDatagram> d = try_parse_datagram(datagram);
-  if (!d.ok()) {
-    throw LogicError("send_raw on a malformed datagram: " + d.failure().str());
-  }
-  const Address& dst = d.value().hdr.dst;
-  Packet pkt = network().make_packet(std::move(datagram));
+  const Address dst = datagram_dst(datagram, "send_raw");
+  Packet pkt(std::move(datagram));
   if (dst.is_multicast()) {
     throw LogicError("send_raw with multicast destination; use send_on_iface");
   }
@@ -204,13 +214,8 @@ bool Ipv6Stack::send_on_iface(IfaceId iface, const DatagramSpec& spec) {
 }
 
 bool Ipv6Stack::send_raw_on_iface(IfaceId iface, Bytes datagram) {
-  const ParseResult<ParsedDatagram> d = try_parse_datagram(datagram);
-  if (!d.ok()) {
-    throw LogicError("send_raw_on_iface on a malformed datagram: " +
-                     d.failure().str());
-  }
-  const Address& dst = d.value().hdr.dst;
-  Packet pkt = network().make_packet(std::move(datagram));
+  const Address dst = datagram_dst(datagram, "send_raw_on_iface");
+  Packet pkt(std::move(datagram));
   Interface* i = iface_ptr(iface);
   if (!i->attached()) {
     count("ipv6/tx-drop/detached");
@@ -224,8 +229,7 @@ bool Ipv6Stack::send_raw_on_iface(IfaceId iface, Bytes datagram) {
 }
 
 void Ipv6Stack::receive_as_if(IfaceId iface, Bytes datagram) {
-  Packet pkt = network().make_packet(std::move(datagram));
-  process(iface, pkt);
+  process(iface, Packet(std::move(datagram)));
 }
 
 // ---------------------------------------------------------------------------
@@ -436,21 +440,6 @@ bool Ipv6Stack::rewrite_decremented(Packet& pkt) {
   auto buf = network().buffer_pool().checkout_copy(pkt.data());
   if (!decrement_hop_limit(*buf)) return false;
   pkt.set_buffer(std::move(buf));
-  return true;
-}
-
-bool Ipv6Stack::forward_out(const Packet& pkt, IfaceId out_iface) {
-  Interface* i = iface_ptr(out_iface);
-  if (!i->attached()) {
-    count("ipv6/tx-drop/detached");
-    return false;
-  }
-  Packet fwd = pkt;
-  if (!rewrite_decremented(fwd)) {
-    count("ipv6/fwd-drop/hop-limit");
-    return false;
-  }
-  i->send(fwd);
   return true;
 }
 

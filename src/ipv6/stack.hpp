@@ -85,6 +85,8 @@ class Ipv6Stack : public ProtocolModule {
   /// output interface is detached / neighbor resolution fails.
   bool send(const DatagramSpec& spec);
   /// Routes pre-serialized octets (tunnel outer packets, forwarded inners).
+  /// Reads only the fixed header; octets that do not start with one throw
+  /// LogicError.
   bool send_raw(Bytes datagram);
   /// Transmits on a specific interface without routing; multicast and
   /// link-local destinations go out as broadcast frames, unicast resolves
@@ -127,14 +129,10 @@ class Ipv6Stack : public ProtocolModule {
   void set_mcast_forwarder(McastForwarder f) { mcast_forwarder_ = std::move(f); }
   void clear_mcast_forwarder() { mcast_forwarder_ = nullptr; }
 
-  /// Replicates `pkt` out of `out_iface` with the hop limit decremented
-  /// (used by PIM to place a copy on a downstream link). Returns false if
-  /// the hop limit ran out or the interface is detached.
-  bool forward_out(const Packet& pkt, IfaceId out_iface);
-
-  /// Fan-out variant for precomputed MFC entries: decrements the hop
-  /// limit ONCE and shares the rewritten buffer across every interface in
-  /// `oifs`, so replicating to N links costs one buffer copy instead of N.
+  /// Replicates `pkt` out of every interface in `oifs` (a precomputed MFC
+  /// entry's oif set): decrements the hop limit ONCE and shares the
+  /// rewritten buffer across them, so replicating to N links costs one
+  /// buffer copy instead of N.
   /// Set bits are visited in mifi order, which is ascending IfaceId order
   /// by MifTable contract. Returns the number of interfaces actually
   /// transmitted on (detached ones are skipped). Allocation-free.

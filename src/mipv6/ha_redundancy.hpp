@@ -7,7 +7,7 @@
 // (VRRP-style) and adopts its replicated bindings: Binding Updates and
 // tunneled traffic addressed to the dead agent are now answered by the
 // backup, multicast group representation is re-established through the
-// backup's own membership backend, and the mobile nodes never notice
+// backup's own dense-mode engine, and the mobile nodes never notice
 // beyond a short outage bounded by heartbeat_interval * failure_threshold.
 #pragma once
 

@@ -6,14 +6,21 @@
 #include "ipv6/tunnel.hpp"
 #include "mld/messages.hpp"
 #include "net/wire_stats.hpp"
+#include "pimdm/dense_engine.hpp"
 
 namespace mip6 {
+namespace {
 
-HomeAgent::HomeAgent(Ipv6Stack& stack, Mipv6Config config,
-                     MembershipBackend backend)
-    : stack_(&stack), component_("ha/" + stack.node().name()),
-      config_(config), backend_(std::move(backend)),
-      cache_(stack.scheduler()) {
+// Lifetime of tunnel-MLD listener state: the MLD Multicast Listener
+// Interval the paper quotes.
+constexpr Time kTunnelMembershipLifetime = Time::sec(260);
+
+}  // namespace
+
+HomeAgent::HomeAgent(Ipv6Stack& stack, DenseModeEngine& dense,
+                     Mipv6Config config)
+    : stack_(&stack), component_("ha/" + stack.node().name()), dense_(&dense),
+      config_(config), cache_(stack.scheduler()) {
   stack.set_option_handler(
       opt::kBindingUpdate,
       [this](const DestOption& o, const ParsedDatagram& d, IfaceId) {
@@ -206,7 +213,7 @@ void HomeAgent::set_binding_groups(const Address& home,
 // Group membership on behalf of mobile nodes
 
 void HomeAgent::ref_group(const Address& group) {
-  if (++group_refs_[group] == 1 && backend_.join) backend_.join(group);
+  if (++group_refs_[group] == 1) dense_->add_local_receiver(group);
 }
 
 void HomeAgent::unref_group(const Address& group) {
@@ -214,7 +221,7 @@ void HomeAgent::unref_group(const Address& group) {
   if (it == group_refs_.end()) return;
   if (--it->second <= 0) {
     group_refs_.erase(it);
-    if (backend_.leave) backend_.leave(group);
+    dense_->remove_local_receiver(group);
   }
 }
 
@@ -226,12 +233,12 @@ void HomeAgent::register_tunnel_membership(const Address& home,
     auto timer = std::make_unique<Timer>(
         stack_->scheduler(),
         [this, home, group] { expire_tunnel_membership(home, group); }, stack_->node().domain());
-    timer->arm(tunnel_membership_lifetime_);
+    timer->arm(kTunnelMembershipLifetime);
     tunnel_memberships_.emplace(key, std::move(timer));
     ref_group(group);
     count("ha/tunnel-membership-added");
   } else {
-    it->second->arm(tunnel_membership_lifetime_);
+    it->second->arm(kTunnelMembershipLifetime);
   }
 }
 

@@ -13,10 +13,9 @@
 //    Reports *through the tunnel*; the HA keeps per-(MN, group) listener
 //    state with the Multicast Listener Interval lifetime, exactly like an
 //    MLD router would on a real interface.
-// How the HA "becomes a member" is delegated to a MembershipBackend: on a
-// dense-mode router (PIM-DM or HPIM-DM) it pins the group via
-// DenseModeEngine::add_local_receiver; on a plain host-like HA it joins via
-// its MLD host side.
+// The HA "becomes a member" on its router's dense-mode engine (PIM-DM or
+// HPIM-DM): the first mobile node to want a group pins it with
+// DenseModeEngine::add_local_receiver, the last one to drop it releases it.
 #pragma once
 
 #include <functional>
@@ -34,14 +33,11 @@
 
 namespace mip6 {
 
+class DenseModeEngine;
+
 class HomeAgent : public ProtocolModule {
  public:
-  struct MembershipBackend {
-    std::function<void(const Address& group)> join;
-    std::function<void(const Address& group)> leave;
-  };
-
-  HomeAgent(Ipv6Stack& stack, Mipv6Config config, MembershipBackend backend);
+  HomeAgent(Ipv6Stack& stack, DenseModeEngine& dense, Mipv6Config config);
 
   // --- ProtocolModule ----------------------------------------------------
   const char* module_kind() const override { return "ha"; }
@@ -57,10 +53,6 @@ class HomeAgent : public ProtocolModule {
 
   BindingCache& cache() { return cache_; }
   const BindingCache& cache() const { return cache_; }
-
-  /// Lifetime of tunnel-MLD listener state (defaults to the MLD Multicast
-  /// Listener Interval the paper quotes, 260 s).
-  void set_tunnel_membership_lifetime(Time t) { tunnel_membership_lifetime_ = t; }
 
   /// Groups currently represented on behalf of any mobile node.
   std::vector<Address> represented_groups() const;
@@ -83,7 +75,7 @@ class HomeAgent : public ProtocolModule {
   /// Drops a binding and everything attached to it (failback cleanup).
   void drop_binding(const Address& home);
   /// Drops every binding, tunnel membership, and represented group (the
-  /// backend sees the leaves). Used by crash / outage injection.
+  /// dense-mode engine sees the releases). Used by crash / outage injection.
   void clear_bindings();
   /// A disabled home agent ignores Binding Updates, intercepts, tunneled
   /// traffic and group deliveries — the data-plane face of an HA outage.
@@ -131,10 +123,9 @@ class HomeAgent : public ProtocolModule {
   Ipv6Stack* stack_;
   std::size_t group_hook_token_;  // for stop()
   std::string component_;  // "ha/<node>", cached for trace records
+  DenseModeEngine* dense_;
   Mipv6Config config_;
-  MembershipBackend backend_;
   BindingCache cache_;
-  Time tunnel_membership_lifetime_ = Time::sec(260);
   // (home, group) -> listener lifetime timer (tunnel-as-interface variant).
   std::map<std::pair<Address, Address>, std::unique_ptr<Timer>>
       tunnel_memberships_;

@@ -5,10 +5,10 @@
 // suppresses the pending one, leaving sends Done if we were the last
 // reporter.
 //
-// flush_on_detach(): a mobile receiver leaving a link sends nothing (the
+// reset_link_state(): a mobile receiver leaving a link sends nothing (the
 // paper: "mobile hosts cannot use the Done message when they leave a link")
-// — the router only notices via the listener timeout. rejoin(): what the
-// mobile receiver does after attaching elsewhere.
+// — the router only notices via the listener timeout. announce_all(): what
+// the mobile receiver does after attaching elsewhere.
 #pragma once
 
 #include <map>
@@ -74,7 +74,6 @@ class MldHost : public ProtocolModule {
   void shutdown();
 
   const MldHostPolicy& policy() const { return policy_; }
-  void set_policy(MldHostPolicy p) { policy_ = p; }
 
  private:
   struct GroupState {

@@ -44,11 +44,6 @@ void Link::count(const char* what, std::uint64_t delta) {
   net_->counters().add(counter_prefix_ + what, delta);
 }
 
-const LinkImpairment& Link::impairment_towards(IfaceId to) const {
-  auto it = directional_impairments_.find(to);
-  return it == directional_impairments_.end() ? impairment_ : it->second;
-}
-
 void Link::transmit(const Interface& from, const Packet& pkt,
                     std::optional<IfaceId> l2_dst) {
   if (!up_) {
@@ -76,13 +71,12 @@ void Link::transmit(const Interface& from, const Packet& pkt,
     if (l2_dst && to->id() != *l2_dst) continue;
     IfaceId to_id = to->id();
     Time extra = Time::zero();
-    const LinkImpairment& imp = impairment_towards(to_id);
-    if (imp.jitter > Time::zero()) {
+    if (impairment_.jitter > Time::zero()) {
       // Sampled at transmit time so the event order (and with it the whole
       // run) stays deterministic for a given seed.
       extra = Time::ns(static_cast<std::int64_t>(
           net_->rng().uniform_int(
-              static_cast<std::uint64_t>(imp.jitter.nanos()) + 1)));
+              static_cast<std::uint64_t>(impairment_.jitter.nanos()) + 1)));
     }
     // The delivery executes in the receiving node's domain: under parallel
     // execution that is the receiver's shard, with the event staged across
@@ -108,23 +102,20 @@ void Link::deliver_one(IfaceId to_id, const Packet& pkt) {
       c_dropped_.add();
       return;
     }
-    const LinkImpairment& imp = impairment_towards(to_id);
-    if (imp.loss > 0.0 && net_->rng().bernoulli(imp.loss)) {
+    if (impairment_.loss > 0.0 && net_->rng().bernoulli(impairment_.loss)) {
       c_dropped_.add();
       return;
     }
-    if (imp.corrupt > 0.0 && net_->rng().bernoulli(imp.corrupt) &&
-        pkt.size() > 0) {
+    if (impairment_.corrupt > 0.0 &&
+        net_->rng().bernoulli(impairment_.corrupt) && pkt.size() > 0) {
       Bytes bytes = pkt.data();
       std::size_t idx = net_->rng().uniform_int(bytes.size());
       // Flip at least one bit (xor with a non-zero mask).
       bytes[idx] ^= static_cast<std::uint8_t>(
           1 + net_->rng().uniform_int(255));
-      Packet corrupted = pkt;
-      corrupted.set_data(std::move(bytes));
       c_corrupted_.add();
       c_rx_.add();
-      candidate->deliver(corrupted);
+      candidate->deliver(Packet(std::move(bytes)));
       return;
     }
     c_rx_.add();

@@ -8,7 +8,7 @@
 //
 // Fault-injection surface (chaos engine): a link can be administratively
 // down (transmissions and in-flight deliveries are dropped and counted) and
-// can carry per-direction impairments — random loss, random single-byte
+// can carry impairments on every delivery — random loss, random single-byte
 // corruption (the corrupted frame is still delivered, so every parser above
 // must reject it), and bounded delay jitter. All randomness comes from the
 // owning Network's RNG, so a seeded run is bit-for-bit reproducible.
@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -81,15 +80,7 @@ class Link {
 
   /// Applies `imp` to every delivery on this link (both directions).
   void set_impairment(LinkImpairment imp) { impairment_ = imp; }
-  /// Applies `imp` only to deliveries *toward* interface `to`, overriding
-  /// the link-wide impairment for that direction.
-  void set_impairment_towards(IfaceId to, LinkImpairment imp) {
-    directional_impairments_[to] = imp;
-  }
-  void clear_impairments() {
-    impairment_ = LinkImpairment{};
-    directional_impairments_.clear();
-  }
+  void clear_impairments() { impairment_ = LinkImpairment{}; }
   const LinkImpairment& impairment() const { return impairment_; }
 
   // --- Counters ---------------------------------------------------------
@@ -115,7 +106,6 @@ class Link {
   void do_attach(Interface& iface);
   void do_detach(Interface& iface);
 
-  const LinkImpairment& impairment_towards(IfaceId to) const;
   void deliver_one(IfaceId to_id, const Packet& pkt);
   void count(const char* what, std::uint64_t delta = 1);
 
@@ -128,7 +118,6 @@ class Link {
   DropFn drop_;
   bool up_ = true;
   LinkImpairment impairment_;
-  std::map<IfaceId, LinkImpairment> directional_impairments_;
   std::string counter_prefix_;
   // Shard-routing cells for the per-transmission / per-delivery counters,
   // resolved once at construction. count() stays for the cold names.

@@ -4,9 +4,7 @@
 
 namespace mip6 {
 
-Network::Network(std::uint64_t seed) : seed_(seed), rng_(seed) {
-  next_packet_uid_.push_back(0);  // kWorldDomain
-}
+Network::Network(std::uint64_t seed) : seed_(seed), rng_(seed) {}
 
 Node& Network::add_node(const std::string& name) {
   nodes_.push_back(std::make_unique<Node>(
@@ -17,7 +15,6 @@ Node& Network::add_node(const std::string& name) {
     throw LogicError("node/domain id mismatch");
   }
   rng_streams_.emplace_back(Rng::derive_seed(seed_, d));
-  next_packet_uid_.push_back(0);
   return *nodes_.back();
 }
 
@@ -40,21 +37,6 @@ Link& Network::link_by_name(const std::string& name) const {
     if (l->name() == name) return *l;
   }
   throw LogicError("no link named " + name);
-}
-
-Packet Network::make_packet(Bytes data) {
-  return Packet(std::move(data), next_uid(), now());
-}
-
-Packet Network::make_packet(Packet::Buffer data) {
-  return Packet(std::move(data), next_uid(), now());
-}
-
-std::uint64_t Network::next_uid() {
-  // Domain id in the top bits, per-domain counter below: unique across the
-  // network and independent of how domains interleave.
-  const Domain d = sched_.current_domain();
-  return (static_cast<std::uint64_t>(d) << 40) | ++next_packet_uid_[d];
 }
 
 void Network::enable_sharding(std::vector<std::uint32_t> domain_shard,

@@ -67,10 +67,6 @@ class Network {
   Node& node_by_name(const std::string& name) const;
   Link& link_by_name(const std::string& name) const;
 
-  /// Fresh packet with a network-unique uid stamped at the current time.
-  Packet make_packet(Bytes data);
-  Packet make_packet(Packet::Buffer data);
-
   /// Observation hook invoked for every link transmission (after the link's
   /// own byte accounting). Core metrics classify traffic here. An observer
   /// that dies before the Network removes its hook with the returned id:
@@ -92,8 +88,6 @@ class Network {
   IfaceId next_iface_id() { return next_iface_id_++; }
 
  private:
-  std::uint64_t next_uid();
-
   Scheduler sched_;
   std::uint64_t seed_;
   Rng rng_;
@@ -107,10 +101,6 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<TxHook> tx_hooks_;
-  /// Per-domain uid counters: uids are unique network-wide (domain id in
-  /// the top bits) and assigned by the packet-making domain alone, so they
-  /// too are identical at any thread count.
-  std::vector<std::uint64_t> next_packet_uid_;
   IfaceId next_iface_id_ = 0;
 };
 

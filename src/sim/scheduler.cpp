@@ -320,16 +320,9 @@ void Scheduler::execute_entry(SubQueue& sub, int shard, const HeapEntry& entry,
 
 std::uint64_t Scheduler::run_serial(Time until) {
   SubQueue& sub = *subs_[0];
-  ExecCtx saved = tls_;
-  tls_ = ExecCtx{this, &sub, -1, kWorldDomain, nullptr};
-  std::uint64_t n = 0;
-  while (std::vector<HeapEntry>* heap = sub.front_heap()) {
-    if (heap->front().key.at > until) break;
-    const HeapEntry entry = SubQueue::pop(*heap);
-    execute_entry(sub, -1, entry, n);
-    tls_.sub = &sub;  // execute_entry leaves it set; keep for clarity
-  }
-  tls_ = saved;
+  // run_until is inclusive of `until`; nothing is ever scheduled at never().
+  const std::uint64_t n = run_shard_before(
+      sub, -1, until.is_never() ? Time::never() : until + Time::ns(1));
   // run() passes never() as the horizon; leave now at the last event then.
   if (!until.is_never() && sub.now < until) sub.now = until;
   now_ = sub.now;
@@ -610,12 +603,6 @@ void Scheduler::worker_main(std::uint32_t shard) {
 std::size_t Scheduler::pending_events() const {
   std::size_t n = 0;
   for (auto& sub : subs_) n += sub->size();
-  return n;
-}
-
-std::size_t Scheduler::event_slots() const {
-  std::size_t n = 0;
-  for (auto& sub : subs_) n += sub->slots.size();
   return n;
 }
 

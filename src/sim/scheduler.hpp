@@ -200,8 +200,6 @@ class Scheduler {
   /// Entries in both heaps, including not-yet-reclaimed cancelled timers
   /// (compaction keeps those below about the live timer count).
   std::size_t pending_events() const;
-  /// Event payload slots currently allocated (high-water mark of pending).
-  std::size_t event_slots() const;
   /// Entries scheduled and not yet executed or cancelled.
   std::size_t live_events() const;
   /// Cancelled entries still occupying heap slots.
@@ -293,16 +291,13 @@ class Scheduler {
   };
   static thread_local ExecCtx tls_;
 
-  SubQueue& sub_of_domain(Domain d) {
-    std::uint32_t s = d < domain_sub_.size() ? domain_sub_[d] : 0;
-    return *subs_[s];
-  }
   EventHandle schedule_impl(Time at, SchedFn&& fn, Domain exec,
                             bool cancellable);
   /// Executes one popped entry on `sub` with the exec context set up.
   void execute_entry(SubQueue& sub, int shard, const HeapEntry& entry,
                      std::uint64_t& count);
-  /// Pops and runs sub's events with key.at < end (worker-side).
+  /// Pops and runs sub's events with key.at < end: one shard's window, or
+  /// (shard -1) a whole serial run.
   std::uint64_t run_shard_before(SubQueue& sub, int shard, Time end);
   /// Runs every due event at exactly `ts`, across all sub-queues, in
   /// canonical order, on the controller thread (structural instants).

@@ -1,7 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <cstdio>
-
 namespace mip6 {
 
 std::string TraceRecord::str() const {
@@ -11,12 +9,6 @@ std::string TraceRecord::str() const {
 
 Trace::Sink Trace::recorder(std::vector<TraceRecord>& out) {
   return [&out](const TraceRecord& r) { out.push_back(r); };
-}
-
-Trace::Sink Trace::stderr_printer() {
-  return [](const TraceRecord& r) {
-    std::fprintf(stderr, "%s\n", r.str().c_str());
-  };
 }
 
 void Trace::enable_shards(std::size_t shards) {

@@ -81,8 +81,6 @@ class Trace {
 
   /// Sink that appends to a vector (owned by the caller).
   static Sink recorder(std::vector<TraceRecord>& out);
-  /// Sink that prints one line per record to stderr.
-  static Sink stderr_printer();
 
   // --- Sharded operation -------------------------------------------------
   /// Allocates one buffer per shard; worker-context emits divert there.

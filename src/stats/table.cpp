@@ -6,20 +6,6 @@
 #include "util/strings.hpp"
 
 namespace mip6 {
-namespace {
-
-std::string csv_cell(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 Table::Table(std::vector<std::string> header) : header_(std::move(header)) {
   if (header_.empty()) throw LogicError("table needs at least one column");
@@ -55,20 +41,6 @@ std::string Table::str() const {
   }
   out += rule + "\n";
   for (const auto& row : rows_) out += render_row(row);
-  return out;
-}
-
-std::string Table::csv() const {
-  std::string out;
-  auto render = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out += ',';
-      out += csv_cell(row[c]);
-    }
-    out += '\n';
-  };
-  render(header_);
-  for (const auto& row : rows_) render(row);
   return out;
 }
 

@@ -1,4 +1,4 @@
-// Plain-text and CSV table renderers used by every bench binary to print the
+// Plain-text table renderer used by every bench binary to print the
 // reproduced rows of the paper's tables/figures.
 #pragma once
 
@@ -16,8 +16,6 @@ class Table {
 
   /// Monospace rendering with aligned columns.
   std::string str() const;
-  /// RFC-4180-ish CSV (quotes cells containing comma/quote/newline).
-  std::string csv() const;
 
  private:
   std::vector<std::string> header_;

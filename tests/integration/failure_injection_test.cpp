@@ -102,7 +102,7 @@ TEST(FailureInjection, RandomCorruptionNeverCrashesAndIsCounted) {
         for (auto& b : junk) {
           b = static_cast<std::uint8_t>(junk_rng->next_u64());
         }
-        from->send(f.world->net().make_packet(std::move(junk)));
+        from->send(Packet(std::move(junk)));
 
         // A syntactically valid IPv6 header whose PIM payload is garbage.
         DatagramSpec spec;
@@ -111,7 +111,7 @@ TEST(FailureInjection, RandomCorruptionNeverCrashesAndIsCounted) {
         spec.hop_limit = 1;
         spec.protocol = proto::kPim;
         spec.payload = Bytes(16, 0xff);
-        from->send(f.world->net().make_packet(build_datagram(spec)));
+        from->send(Packet(build_datagram(spec)));
       }
     });
   }

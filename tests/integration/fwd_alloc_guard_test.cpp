@@ -104,7 +104,7 @@ class FwdAllocGuard : public ::testing::TestWithParam<DenseEngineKind> {
     // One immutable packet reused for every injection: the data plane never
     // mutates a received buffer (forwarding installs a pooled decremented
     // copy), so identity-reuse is safe and keeps the injector itself silent.
-    pkt_ = Packet(std::move(w).take(), /*uid=*/424242, world.net().now());
+    pkt_ = Packet(std::move(w).take());
 
     // The first router's interface on the sender stub; deliver() runs the
     // full receive + forward path synchronously.

@@ -284,10 +284,31 @@ TEST(Stack, ReceiveAsIfRunsFullPath) {
 TEST(Stack, MalformedPacketCounted) {
   TwoLan t;
   Interface& iface = t.host_a_node.iface(0);
-  Packet junk = t.net.make_packet(Bytes{1, 2, 3});
+  Packet junk(Bytes{1, 2, 3});
   iface.send(junk);  // router + nothing else on lan1 receive it
   t.net.scheduler().run();
   EXPECT_GE(t.net.counters().get("ipv6/rx-drop/parse-error"), 1u);
+}
+
+TEST(Stack, RawSendOfNonIpv6OctetsThrowsNamingCaller) {
+  TwoLan t;
+  auto error_of = [](auto&& send) -> std::string {
+    try {
+      send();
+    } catch (const LogicError& e) {
+      return e.what();
+    }
+    return "no LogicError";
+  };
+  // Too short for a fixed header; then a whole header with version 0.
+  EXPECT_EQ(error_of([&] { t.host_a->send_raw(Bytes{1, 2, 3}); }),
+            "send_raw on a malformed datagram: truncated: IPv6 fixed header");
+  EXPECT_EQ(error_of([&] {
+              t.host_a->send_raw_on_iface(t.a_iface(), Bytes(40, 0));
+            }),
+            "send_raw_on_iface on a malformed datagram: bad-type: IPv6 "
+            "version field is not 6");
+  EXPECT_EQ(t.lan1.tx_packets(), 0u);
 }
 
 TEST(Stack, GlobalRoutingMetricsAreHopCounts) {

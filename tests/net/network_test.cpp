@@ -20,16 +20,6 @@ TEST(Network, NodesAndLinksByNameAndId) {
   EXPECT_THROW(net.link_by_name("nope"), LogicError);
 }
 
-TEST(Network, PacketUidsAreUniqueAndStamped) {
-  Network net(1);
-  net.scheduler().run_until(Time::sec(3));
-  Packet p1 = net.make_packet(Bytes{1});
-  Packet p2 = net.make_packet(Bytes{2});
-  EXPECT_NE(p1.uid(), p2.uid());
-  EXPECT_EQ(p1.created(), Time::sec(3));
-  EXPECT_EQ(p1.size(), 1u);
-}
-
 TEST(Network, IfaceIdsUniqueAcrossNodes) {
   Network net(1);
   Node& a = net.add_node("a");

@@ -27,23 +27,6 @@ TEST(Table, EmptyHeaderThrows) {
   EXPECT_THROW(Table({}), LogicError);
 }
 
-TEST(Table, CsvEscapesSpecialCells) {
-  Table t({"k", "v"});
-  t.add_row({"plain", "with,comma"});
-  t.add_row({"quote\"inside", "line\nbreak"});
-  std::string csv = t.csv();
-  EXPECT_NE(csv.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"quote\"\"inside\""), std::string::npos);
-  EXPECT_NE(csv.find("\"line\nbreak\""), std::string::npos);
-  EXPECT_EQ(csv.find("plain\""), std::string::npos);
-}
-
-TEST(Table, CsvHeaderFirstLine) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.csv().substr(0, 4), "a,b\n");
-}
-
 TEST(Table, RowCount) {
   Table t({"x"});
   EXPECT_EQ(t.rows(), 0u);
