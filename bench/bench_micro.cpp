@@ -53,7 +53,7 @@ BENCHMARK(BM_TimerRearm);
 // (about churn-par's timer heap) and 250 deliveries in flight, one due
 // every microsecond over a 250 us link. Each iteration advances one
 // microsecond, which delivers one packet that posts the next, so the time
-// per iteration is the cost of one post_in delivery.
+// per iteration is the cost of one schedule_in delivery.
 void BM_SchedulerDeliveriesOverTimers(benchmark::State& state) {
   Scheduler s;
   const Domain d = s.add_domain();
@@ -68,11 +68,11 @@ void BM_SchedulerDeliveriesOverTimers(benchmark::State& state) {
     std::uint64_t delivered = 0;
     void arrive() {
       ++delivered;
-      s->post_in(Time::us(250), [this] { arrive(); }, d);
+      s->schedule_in(Time::us(250), [this] { arrive(); }, d);
     }
   } hop{&s, d};
   for (int k = 1; k <= 250; ++k) {
-    s.post_in(Time::us(k), [&hop] { hop.arrive(); }, d);
+    s.schedule_in(Time::us(k), [&hop] { hop.arrive(); }, d);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(s.run_until(s.now() + Time::us(1)));

@@ -17,7 +17,8 @@ Ipv6Stack::Ipv6Stack(Node& node, AddressingPlan& plan, bool forwarding)
 
 void Ipv6Stack::register_iface(Interface& iface) {
   IfaceId id = iface.id();
-  iface.set_rx_handler([this, id](const Packet& pkt) { on_rx(id, pkt); });
+  iface.set_rx_handler(
+      [this, id](const Packet& pkt) { receive_as_if(id, pkt); });
   iface.set_address_filter([this](BytesView octets) {
     Address a = Address::from_bytes(octets);
     return owns_address(a) || intercepts(a);
@@ -191,12 +192,11 @@ bool Ipv6Stack::transmit_unicast_on(IfaceId iface, const Address& l2_target,
 }
 
 bool Ipv6Stack::send(const DatagramSpec& spec) {
-  return send_raw(build_datagram(spec));
+  return send_raw(Packet(build_datagram(spec)));
 }
 
-bool Ipv6Stack::send_raw(Bytes datagram) {
-  const Address dst = datagram_dst(datagram, "send_raw");
-  Packet pkt(std::move(datagram));
+bool Ipv6Stack::send_raw(const Packet& pkt) {
+  const Address dst = datagram_dst(pkt.view(), "send_raw");
   if (dst.is_multicast()) {
     throw LogicError("send_raw with multicast destination; use send_on_iface");
   }
@@ -210,12 +210,11 @@ bool Ipv6Stack::send_raw(Bytes datagram) {
 }
 
 bool Ipv6Stack::send_on_iface(IfaceId iface, const DatagramSpec& spec) {
-  return send_raw_on_iface(iface, build_datagram(spec));
+  return send_raw_on_iface(iface, Packet(build_datagram(spec)));
 }
 
-bool Ipv6Stack::send_raw_on_iface(IfaceId iface, Bytes datagram) {
-  const Address dst = datagram_dst(datagram, "send_raw_on_iface");
-  Packet pkt(std::move(datagram));
+bool Ipv6Stack::send_raw_on_iface(IfaceId iface, const Packet& pkt) {
+  const Address dst = datagram_dst(pkt.view(), "send_raw_on_iface");
   Interface* i = iface_ptr(iface);
   if (!i->attached()) {
     count("ipv6/tx-drop/detached");
@@ -226,10 +225,6 @@ bool Ipv6Stack::send_raw_on_iface(IfaceId iface, Bytes datagram) {
     return true;
   }
   return transmit_unicast_on(iface, dst, pkt);
-}
-
-void Ipv6Stack::receive_as_if(IfaceId iface, Bytes datagram) {
-  process(iface, Packet(std::move(datagram)));
 }
 
 // ---------------------------------------------------------------------------
@@ -286,19 +281,18 @@ bool Ipv6Stack::intercepts(const Address& addr) const {
 // ---------------------------------------------------------------------------
 // Receive path
 
-void Ipv6Stack::on_rx(IfaceId iface, const Packet& pkt) {
-  process(iface, pkt);
-}
-
-void Ipv6Stack::process(IfaceId iface, const Packet& pkt) {
+void Ipv6Stack::receive_as_if(IfaceId iface, const Packet& pkt) {
   ParseResult<ParsedDatagram> parsed = try_parse_datagram(pkt.view());
   if (!parsed.ok()) {
     count("ipv6/rx-drop/parse-error");
     note_parse_reject(network(), "ipv6", parsed.failure());
     return;
   }
-  ParsedDatagram d = std::move(parsed).value();
+  receive_as_if(iface, parsed.value(), pkt);
+}
 
+void Ipv6Stack::receive_as_if(IfaceId iface, const ParsedDatagram& d,
+                              const Packet& pkt) {
   if (d.hdr.dst.is_multicast()) {
     bool local = d.hdr.dst == Address::all_nodes() ||
                  (forwarding_ && d.hdr.dst == Address::all_routers()) ||

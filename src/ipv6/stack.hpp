@@ -87,17 +87,20 @@ class Ipv6Stack : public ProtocolModule {
   /// Routes pre-serialized octets (tunnel outer packets, forwarded inners).
   /// Reads only the fixed header; octets that do not start with one throw
   /// LogicError.
-  bool send_raw(Bytes datagram);
+  bool send_raw(const Packet& datagram);
   /// Transmits on a specific interface without routing; multicast and
   /// link-local destinations go out as broadcast frames, unicast resolves
   /// the neighbor on that link.
   bool send_on_iface(IfaceId iface, const DatagramSpec& spec);
-  bool send_raw_on_iface(IfaceId iface, Bytes datagram);
+  bool send_raw_on_iface(IfaceId iface, const Packet& datagram);
 
   /// Feeds a serialized datagram through the full receive path as if it had
   /// just arrived on `iface` — used by tunnel endpoints to process inner
   /// datagrams (decapsulated traffic re-enters the stack here).
-  void receive_as_if(IfaceId iface, Bytes datagram);
+  void receive_as_if(IfaceId iface, const Packet& datagram);
+  /// The receive path after the parse, for `d` already parsed from `pkt`.
+  void receive_as_if(IfaceId iface, const ParsedDatagram& d,
+                     const Packet& pkt);
 
   // --- Local delivery handlers ----------------------------------------
   using ProtoHandler =
@@ -154,8 +157,6 @@ class Ipv6Stack : public ProtocolModule {
     bool pinned;
   };
 
-  void on_rx(IfaceId iface, const Packet& pkt);
-  void process(IfaceId iface, const Packet& pkt);
   void deliver_local(const ParsedDatagram& d, const Packet& pkt,
                      IfaceId iface);
   /// Originates an ICMPv6 Parameter Problem (RFC 2463 §3.4) back at the

@@ -13,12 +13,15 @@ Bytes encapsulate(BytesView inner, const Address& tunnel_src,
   return build_datagram(outer);
 }
 
-ParseResult<ParsedDatagram> try_decapsulate(const ParsedDatagram& outer) {
+ParseResult<InnerDatagram> try_decapsulate(const ParsedDatagram& outer) {
   if (outer.protocol != proto::kIpv6) {
     return ParseFailure{ParseReason::kBadType,
                         "outer protocol is not IPv6-in-IPv6"};
   }
-  return try_parse_datagram(outer.payload);
+  Packet packet(Bytes(outer.payload.begin(), outer.payload.end()));
+  ParseResult<ParsedDatagram> parsed = try_parse_datagram(packet.view());
+  if (!parsed.ok()) return parsed.failure();
+  return InnerDatagram{std::move(packet), std::move(parsed).value()};
 }
 
 }  // namespace mip6

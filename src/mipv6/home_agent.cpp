@@ -39,8 +39,8 @@ HomeAgent::HomeAgent(Ipv6Stack& stack, DenseModeEngine& dense,
       });
   stack.set_proto_handler(
       proto::kIpv6,
-      [this](const ParsedDatagram& d, const Packet&, IfaceId iface) {
-        on_tunneled(d, iface);
+      [this](const ParsedDatagram& d, const Packet&, IfaceId) {
+        on_tunneled(d);
       });
   group_hook_token_ = stack.add_group_delivery_hook(
       [this](const ParsedDatagram& d, const Packet& pkt, IfaceId) {
@@ -56,12 +56,6 @@ void HomeAgent::stop() {
   stack_->clear_intercept_handler();
   stack_->clear_proto_handler(proto::kIpv6);
   stack_->remove_group_delivery_hook(group_hook_token_);
-}
-
-std::vector<Address> HomeAgent::represented_groups() const {
-  std::vector<Address> out;
-  for (const auto& [g, refs] : group_refs_) out.push_back(g);
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -301,8 +295,7 @@ void HomeAgent::on_group_delivery(const ParsedDatagram& d, const Packet& pkt) {
   }
 }
 
-void HomeAgent::on_tunneled(const ParsedDatagram& outer, IfaceId iface) {
-  (void)iface;
+void HomeAgent::on_tunneled(const ParsedDatagram& outer) {
   // Encapsulated traffic addressed to a multicast group (a relay into an
   // mcast-mobility reachability group) is for the *member MNs*, not for
   // every promiscuous router that happens to run a home agent — decapsulate
@@ -313,16 +306,15 @@ void HomeAgent::on_tunneled(const ParsedDatagram& outer, IfaceId iface) {
     count("ha/drop/disabled-tunnel");
     return;
   }
-  ParseResult<ParsedDatagram> decap = try_decapsulate(outer);
+  ParseResult<InnerDatagram> decap = try_decapsulate(outer);
   if (!decap.ok()) {
     count("ha/rx-drop/bad-tunnel");
     note_parse_reject(stack_->network(), "mipv6", decap.failure());
     return;
   }
-  // `in` views outer.payload, the inner datagram's octets; each path that
-  // hands the datagram on copies them.
-  const ParsedDatagram& in = decap.value();
-  const BytesView inner = outer.payload;
+  // Every path below hands on this one buffer and its parse.
+  const Packet& inner = decap.value().packet;
+  const ParsedDatagram& in = decap.value().datagram;
   count("ha/decap");
   trace_event("decap", [&] {
     return "src=" + in.hdr.src.str() + " dst=" + in.hdr.dst.str();
@@ -353,7 +345,7 @@ void HomeAgent::on_tunneled(const ParsedDatagram& outer, IfaceId iface) {
       // Also place the Report on the home link so an MLD querier other
       // than ourselves learns the membership.
       if (auto hi = iface_for_home(in.hdr.src)) {
-        stack_->send_raw_on_iface(*hi, Bytes(inner.begin(), inner.end()));
+        stack_->send_raw_on_iface(*hi, inner);
       }
       return;
     }
@@ -369,14 +361,14 @@ void HomeAgent::on_tunneled(const ParsedDatagram& outer, IfaceId iface) {
       count("ha/drop/unknown-home-link");
       return;
     }
-    stack_->send_raw_on_iface(*hi, Bytes(inner.begin(), inner.end()));
-    stack_->receive_as_if(*hi, Bytes(inner.begin(), inner.end()));
+    stack_->send_raw_on_iface(*hi, inner);
+    stack_->receive_as_if(*hi, in, inner);
     return;
   }
 
   // Reverse-tunneled unicast: forward like a freshly received datagram.
   if (auto hi = iface_for_home(in.hdr.src)) {
-    stack_->receive_as_if(*hi, Bytes(inner.begin(), inner.end()));
+    stack_->receive_as_if(*hi, in, inner);
   }
 }
 
@@ -405,7 +397,7 @@ void HomeAgent::tunnel_to(const Address& home, const Address& care_of,
   Address src = stack_->global_address(*hi);
   Bytes outer = encapsulate(inner, src, care_of);
   stack_->network().counters().add("ha/tunnel-bytes", outer.size());
-  stack_->send_raw(std::move(outer));
+  stack_->send_raw(Packet(std::move(outer)));
 }
 
 void HomeAgent::relay_to_mcast_care_of(const Address& home,
@@ -419,10 +411,11 @@ void HomeAgent::relay_to_mcast_care_of(const Address& home,
   // Re-originate the encapsulated copy on the home interface (RPF-
   // consistent: the (HA, G_mn) dense-mode tree roots at the home link) and
   // run it through our own forwarding plane so downstream routers flood it.
-  Bytes outer = encapsulate(inner, stack_->global_address(*hi), group_coa);
+  const Packet outer(
+      encapsulate(inner, stack_->global_address(*hi), group_coa));
   stack_->network().counters().add("ha/tunnel-bytes", outer.size());
-  stack_->send_raw_on_iface(*hi, Bytes(outer));
-  stack_->receive_as_if(*hi, std::move(outer));
+  stack_->send_raw_on_iface(*hi, outer);
+  stack_->receive_as_if(*hi, outer);
 }
 
 void HomeAgent::send_binding_ack(const Address& home, const Address& care_of,

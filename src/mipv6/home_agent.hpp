@@ -54,9 +54,6 @@ class HomeAgent : public ProtocolModule {
   BindingCache& cache() { return cache_; }
   const BindingCache& cache() const { return cache_; }
 
-  /// Groups currently represented on behalf of any mobile node.
-  std::vector<Address> represented_groups() const;
-
   /// Invoked whenever a binding is created/refreshed (deleted=false) or
   /// deregistered (deleted=true) by Binding Update processing. Redundancy
   /// peers subscribe to replicate state.
@@ -89,7 +86,7 @@ class HomeAgent : public ProtocolModule {
   void on_binding_update(const BindingUpdateOption& bu,
                          const ParsedDatagram& d);
   void on_intercepted(const ParsedDatagram& d, const Packet& pkt);
-  void on_tunneled(const ParsedDatagram& outer, IfaceId iface);
+  void on_tunneled(const ParsedDatagram& outer);
   void on_group_delivery(const ParsedDatagram& d, const Packet& pkt);
   void on_binding_expired(const BindingCache::Entry& expired);
 

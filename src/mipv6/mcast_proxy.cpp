@@ -146,7 +146,7 @@ void MulticastProxy::on_group_delivery(const ParsedDatagram& d,
     });
     Bytes outer = encapsulate(pkt.view(), src, reg.care_of);
     stack_->network().counters().add("proxy/tunnel-bytes", outer.size());
-    stack_->send_raw(std::move(outer));
+    stack_->send_raw(Packet(std::move(outer)));
   }
 }
 

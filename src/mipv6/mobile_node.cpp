@@ -51,15 +51,15 @@ MobileNode::MobileNode(Ipv6Stack& stack, IfaceId iface, Address home_address,
   stack.set_proto_handler(
       proto::kIpv6,
       [this](const ParsedDatagram& d, const Packet&, IfaceId rx_iface) {
-        ParseResult<ParsedDatagram> inner = try_decapsulate(d);
+        ParseResult<InnerDatagram> inner = try_decapsulate(d);
         if (!inner.ok()) {
           count("mn/rx-drop/bad-tunnel");
           note_parse_reject(stack_->network(), "mipv6", inner.failure());
           return;
         }
         count("mn/decap");
-        stack_->receive_as_if(rx_iface,
-                              Bytes(d.payload.begin(), d.payload.end()));
+        stack_->receive_as_if(rx_iface, inner.value().datagram,
+                              inner.value().packet);
       });
 }
 
@@ -89,7 +89,7 @@ void MobileNode::reset_soft_state() {
   binding_acked_ = false;
   bu_retransmits_left_ = 0;
   bu_retransmit_current_ = Time::zero();
-  last_bu_wire_.clear();
+  last_bu_ = Packet();
   movement_timer_->cancel();
   bu_refresh_timer_->cancel();
   bu_retransmit_timer_->cancel();
@@ -191,30 +191,30 @@ void MobileNode::send_bu_impl(std::optional<std::vector<Address>> groups) {
     spec.dest_options.push_back(HomeAddressOption{home_address_}.encode());
   }
   spec.protocol = proto::kNoNext;
-  Bytes wire = build_datagram(spec);
+  const Packet wire(build_datagram(spec));
   stack_->network().counters().add("mn/bu-bytes", wire.size());
   count("mn/tx/bu");
 
   if (config_.request_ack) {
     // A fresh BU (new sequence number) restarts the retransmission budget
     // and resets the backoff to the initial interval.
-    last_bu_wire_ = wire;
+    last_bu_ = wire;
     bu_retransmits_left_ = config_.bu_max_retransmits;
     bu_retransmit_current_ = config_.bu_retransmit_interval;
     bu_retransmit_timer_->arm(bu_retransmit_current_);
   }
-  stack_->send_raw(std::move(wire));
+  stack_->send_raw(wire);
 }
 
 void MobileNode::retransmit_binding_update() {
-  if (binding_acked_ || bu_retransmits_left_ <= 0 || last_bu_wire_.empty()) {
+  if (binding_acked_ || bu_retransmits_left_ <= 0 || last_bu_.size() == 0) {
     return;
   }
   --bu_retransmits_left_;
   count("mn/bu-retransmit");
-  stack_->network().counters().add("mn/bu-bytes", last_bu_wire_.size());
+  stack_->network().counters().add("mn/bu-bytes", last_bu_.size());
   count("mn/tx/bu");
-  stack_->send_raw(Bytes(last_bu_wire_));
+  stack_->send_raw(last_bu_);
   // Exponential backoff (draft-10 §5.5.5): double up to the ceiling. A dead
   // home agent costs O(log) signaling, not a fixed-rate stream.
   Time next = bu_retransmit_current_ * 2;
@@ -237,7 +237,7 @@ bool MobileNode::tunnel_to_ha(Bytes inner) {
   Bytes outer = encapsulate(inner, current_source(), home_agent_);
   stack_->network().counters().add("mn/tunnel-bytes", outer.size());
   count("mn/encap");
-  return stack_->send_raw(std::move(outer));
+  return stack_->send_raw(Packet(std::move(outer)));
 }
 
 void MobileNode::start_tunneled_reports(const Address& group, Time interval) {

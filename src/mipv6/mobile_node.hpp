@@ -136,9 +136,9 @@ class MobileNode : public ProtocolModule {
   /// Current backoff interval; reset to config.bu_retransmit_interval on
   /// every fresh BU, doubled (capped) per retransmission.
   Time bu_retransmit_current_ = Time::zero();
-  /// Wire image of the last BU, kept so retransmissions reuse the same
-  /// sequence number instead of minting a new binding attempt.
-  Bytes last_bu_wire_;
+  /// The last BU as sent, kept so retransmissions reuse the same sequence
+  /// number instead of minting a new binding attempt.
+  Packet last_bu_;
   std::unique_ptr<Timer> movement_timer_;
   std::unique_ptr<Timer> bu_refresh_timer_;
   std::unique_ptr<Timer> bu_retransmit_timer_;

@@ -83,7 +83,7 @@ void Link::transmit(const Interface& from, const Packet& pkt,
     // the shard boundary when sender and receiver are partitioned apart.
     // The loss/corrupt draws below then come from the receiver's own rng
     // stream, independent of how other nodes' events interleave.
-    net_->scheduler().post_in(
+    net_->scheduler().schedule_in(
         arrival_delay + extra,
         [this, to_id, pkt] { deliver_one(to_id, pkt); },
         to->node().domain());

@@ -5,10 +5,6 @@
 namespace mip6 {
 namespace {
 
-// Free-list cap: enough to absorb every live timer in a large topology
-// without letting a transient spike pin memory forever.
-constexpr std::size_t kStatePoolMax = 1024;
-
 // Spins before a waiter falls back to atomic wait/yield. Windows are tens of
 // microseconds of real work, so the barrier almost always resolves in the
 // spin phase; the fallback only matters between run_until calls.
@@ -36,24 +32,21 @@ inline void cpu_relax() {
 
 thread_local Scheduler::ExecCtx Scheduler::tls_;
 
-void EventHandle::cancel() {
-  if (!state_ || state_->cancelled || state_->executed) return;
-  state_->cancelled = true;
-  if (state_->cancelled_in_heap) ++*state_->cancelled_in_heap;
-}
-
-bool EventHandle::pending() const {
-  return state_ && !state_->cancelled && !state_->executed;
-}
-
 Scheduler::Scheduler() {
   domain_seq_.push_back(0);  // kWorldDomain
   domain_sub_.push_back(0);
   subs_.push_back(std::make_unique<SubQueue>());
-  subs_[0]->cancelled_in_heap = std::make_shared<std::uint64_t>(0);
 }
 
-Scheduler::~Scheduler() { stop_workers(); }
+Scheduler::~Scheduler() {
+  stop_workers();
+  // Timers may outlive the scheduler: leave none pointing into it.
+  for (auto& sub : subs_) {
+    for (const HeapEntry& entry : sub->timers) {
+      if (TimerSlot* timer = sub->slots[entry.slot].timer) *timer = {};
+    }
+  }
+}
 
 Time Scheduler::now() const {
   if (tls_.sched == this && tls_.sub != nullptr) return tls_.sub->now;
@@ -109,8 +102,8 @@ Scheduler::HeapEntry Scheduler::SubQueue::pop(std::vector<HeapEntry>& heap) {
 EventKey Scheduler::SubQueue::min_key() {
   // Shed cancelled timers from the top so the controller's window planning
   // never keys off a dead event. Deliveries are never cancelled.
-  while (!timers.empty() && slots[timers.front().slot].state->cancelled) {
-    --*cancelled_in_heap;
+  while (!timers.empty() && slots[timers.front().slot].cancelled) {
+    --cancelled;
     release_slot(pop(timers).slot);
   }
   const std::vector<HeapEntry>* heap = front_heap();
@@ -119,87 +112,42 @@ EventKey Scheduler::SubQueue::min_key() {
 }
 
 void Scheduler::SubQueue::push(const EventKey& key, SchedFn&& fn, Domain exec,
-                               std::shared_ptr<EventHandle::State> state) {
-  std::vector<HeapEntry>& heap = state != nullptr ? timers : deliveries;
-  std::uint32_t slot = acquire_slot(std::move(fn), std::move(state), exec);
+                               TimerSlot* timer) {
+  std::vector<HeapEntry>& heap = timer != nullptr ? timers : deliveries;
+  const std::uint32_t slot = acquire_slot(std::move(fn), timer, exec);
   heap.push_back(HeapEntry{key, slot});
   std::push_heap(heap.begin(), heap.end(), Later{});
+  if (timer != nullptr) *timer = TimerSlot{this, slot};
 }
 
-std::uint32_t Scheduler::SubQueue::acquire_slot(
-    SchedFn&& fn, std::shared_ptr<EventHandle::State> state, Domain exec) {
+std::uint32_t Scheduler::SubQueue::acquire_slot(SchedFn&& fn, TimerSlot* timer,
+                                                Domain exec) {
   if (!free_slots.empty()) {
     std::uint32_t slot = free_slots.back();
     free_slots.pop_back();
     slots[slot].fn = std::move(fn);
-    slots[slot].state = std::move(state);
+    slots[slot].timer = timer;
     slots[slot].exec = exec;
+    slots[slot].cancelled = false;
     return slot;
   }
-  slots.push_back(Event{std::move(fn), std::move(state), exec});
+  slots.push_back(Event{std::move(fn), timer, exec, false});
   return static_cast<std::uint32_t>(slots.size() - 1);
 }
 
 void Scheduler::SubQueue::release_slot(std::uint32_t slot) {
   slots[slot].fn = SchedFn();
-  recycle(std::move(slots[slot].state));
+  slots[slot].timer = nullptr;
   free_slots.push_back(slot);
 }
 
-std::shared_ptr<EventHandle::State> Scheduler::SubQueue::make_state() {
-  if (state_pool.empty()) sweep_deferred();
-  if (!state_pool.empty()) {
-    auto state = std::move(state_pool.back());
-    state_pool.pop_back();
-    return state;
-  }
-  auto state = std::make_shared<EventHandle::State>();
-  state->cancelled_in_heap = cancelled_in_heap;
-  return state;
-}
-
-void Scheduler::SubQueue::recycle(std::shared_ptr<EventHandle::State>&& state) {
-  // Only reclaim once every handle has let go; a surviving handle keeps its
-  // (executed or cancelled) state so pending() stays truthful. Park such
-  // states in deferred — the common case is a Timer that drops its handle
-  // on the next arm(), at which point sweep_deferred() reclaims it.
-  if (!state) return;
-  if (state.use_count() != 1) {
-    if (deferred.size() < kStatePoolMax) deferred.push_back(std::move(state));
+void Scheduler::SubQueue::maybe_compact() {
+  if (cancelled < Scheduler::kCompactMin || cancelled * 2 < timers.size()) {
     return;
   }
-  if (state_pool.size() >= kStatePoolMax) return;
-  state->cancelled = false;
-  state->executed = false;
-  state->cancelled_in_heap = cancelled_in_heap;
-  state_pool.push_back(std::move(state));
-}
-
-void Scheduler::SubQueue::sweep_deferred() {
-  // Bounded sweep: reclamation keeps pace with the one-deferral-per-pop
-  // inflow without turning make_state() into an O(deferred) scan.
-  constexpr std::size_t kSweepMax = 8;
-  std::size_t scanned = 0;
-  for (std::size_t i = deferred.size(); i-- > 0 && scanned < kSweepMax;
-       ++scanned) {
-    if (deferred[i].use_count() != 1) continue;
-    auto state = std::move(deferred[i]);
-    deferred[i] = std::move(deferred.back());
-    deferred.pop_back();
-    if (state_pool.size() >= kStatePoolMax) continue;
-    state->cancelled = false;
-    state->executed = false;
-    state->cancelled_in_heap = cancelled_in_heap;
-    state_pool.push_back(std::move(state));
-  }
-}
-
-void Scheduler::SubQueue::maybe_compact() {
-  const std::uint64_t dead = cancelled();
-  if (dead < Scheduler::kCompactMin || dead * 2 < timers.size()) return;
   std::size_t keep = 0;
   for (std::size_t i = 0; i < timers.size(); ++i) {
-    if (slots[timers[i].slot].state->cancelled) {
+    if (slots[timers[i].slot].cancelled) {
       release_slot(timers[i].slot);
       continue;
     }
@@ -207,15 +155,15 @@ void Scheduler::SubQueue::maybe_compact() {
     ++keep;
   }
   timers.resize(keep);
-  *cancelled_in_heap = 0;
+  cancelled = 0;
   std::make_heap(timers.begin(), timers.end(), Later{});
   ++compactions;
 }
 
 // --- Scheduling -------------------------------------------------------------
 
-EventHandle Scheduler::schedule_impl(Time at, SchedFn&& fn, Domain exec,
-                                     bool cancellable) {
+void Scheduler::schedule_impl(Time at, SchedFn&& fn, Domain exec,
+                              TimerSlot* timer) {
   const Time pnow = now();
   if (at < pnow) {
     throw LogicError("schedule_at into the past: " + at.str() + " < " +
@@ -247,48 +195,50 @@ EventHandle Scheduler::schedule_impl(Time at, SchedFn&& fn, Domain exec,
                        at.str() + " < " + (pnow + lookahead_).str());
     }
     tls_.sub->outbox[target].push_back(Staged{key, exec, std::move(fn)});
-    return EventHandle();  // staged events are not cancellable
+    return;  // staged events are not cancellable: `timer` stays empty
   }
 
   target_sub.maybe_compact();
-  std::shared_ptr<EventHandle::State> state;
-  if (cancellable) state = target_sub.make_state();
-  EventHandle handle(state);
-  target_sub.push(key, std::move(fn), exec, std::move(state));
-  return handle;
+  target_sub.push(key, std::move(fn), exec, timer);
 }
 
-EventHandle Scheduler::schedule_at(Time at, SchedFn fn) {
+void Scheduler::schedule_at(Time at, SchedFn fn) {
   const Domain exec = (tls_.sched == this && tls_.key != nullptr)
                           ? tls_.domain
                           : (!ambient_.empty() ? ambient_.back() : kWorldDomain);
-  return schedule_impl(at, std::move(fn), exec, /*cancellable=*/true);
+  schedule_impl(at, std::move(fn), exec, nullptr);
 }
 
-EventHandle Scheduler::schedule_at(Time at, SchedFn fn, Domain exec) {
-  return schedule_impl(at, std::move(fn), exec, /*cancellable=*/true);
+void Scheduler::schedule_at(Time at, SchedFn fn, Domain exec) {
+  schedule_impl(at, std::move(fn), exec, nullptr);
 }
 
-EventHandle Scheduler::schedule_in(Time delay, SchedFn fn) {
+void Scheduler::schedule_in(Time delay, SchedFn fn) {
   if (delay < Time::zero()) {
     throw LogicError("schedule_in negative delay: " + delay.str());
   }
-  return schedule_at(now() + delay, std::move(fn));
+  schedule_at(now() + delay, std::move(fn));
 }
 
-EventHandle Scheduler::schedule_in(Time delay, SchedFn fn, Domain exec) {
+void Scheduler::schedule_in(Time delay, SchedFn fn, Domain exec) {
   if (delay < Time::zero()) {
     throw LogicError("schedule_in negative delay: " + delay.str());
   }
-  return schedule_impl(now() + delay, std::move(fn), exec,
-                       /*cancellable=*/true);
+  schedule_impl(now() + delay, std::move(fn), exec, nullptr);
 }
 
-void Scheduler::post_in(Time delay, SchedFn fn, Domain exec) {
-  if (delay < Time::zero()) {
-    throw LogicError("post_in negative delay: " + delay.str());
-  }
-  schedule_impl(now() + delay, std::move(fn), exec, /*cancellable=*/false);
+void Scheduler::schedule_timer(TimerSlot& slot, Time at, SchedFn fn,
+                               Domain exec) {
+  schedule_impl(at, std::move(fn), exec, &slot);
+}
+
+void Scheduler::cancel(TimerSlot& slot) {
+  if (slot.sub == nullptr) return;
+  Event& ev = slot.sub->slots[slot.index];
+  ev.cancelled = true;
+  ev.timer = nullptr;
+  ++slot.sub->cancelled;
+  slot = {};
 }
 
 // --- Execution --------------------------------------------------------------
@@ -296,8 +246,8 @@ void Scheduler::post_in(Time delay, SchedFn fn, Domain exec) {
 void Scheduler::execute_entry(SubQueue& sub, int shard, const HeapEntry& entry,
                               std::uint64_t& count) {
   Event& ev = sub.slots[entry.slot];
-  if (ev.state != nullptr && ev.state->cancelled) {
-    --*sub.cancelled_in_heap;
+  if (ev.cancelled) {
+    --sub.cancelled;
     sub.release_slot(entry.slot);
     return;
   }
@@ -306,7 +256,8 @@ void Scheduler::execute_entry(SubQueue& sub, int shard, const HeapEntry& entry,
   tls_.key = &entry.key;
   tls_.shard = shard;
   tls_.sub = &sub;
-  if (ev.state != nullptr) ev.state->executed = true;
+  // The expiry runs: its Timer no longer has one queued.
+  if (ev.timer != nullptr) *ev.timer = {};
   // Move the callback out and free the slot before invoking: the callback
   // may schedule (growing slots, invalidating `ev`) and can even reuse
   // this very slot.
@@ -468,7 +419,6 @@ void Scheduler::migrate_all_to(const std::vector<std::uint32_t>& new_map,
   for (auto& sub : subs_) cur = std::max(cur, sub->now);
   for (std::size_t i = 0; i < total; ++i) {
     auto sub = std::make_unique<SubQueue>();
-    sub->cancelled_in_heap = std::make_shared<std::uint64_t>(0);
     sub->now = cur;
     sub->outbox.resize(total);
     fresh.push_back(std::move(sub));
@@ -481,21 +431,18 @@ void Scheduler::migrate_all_to(const std::vector<std::uint32_t>& new_map,
     for (const auto* heap : {&old->timers, &old->deliveries}) {
       for (const HeapEntry& entry : *heap) {
         Event& ev = old->slots[entry.slot];
-        if (ev.state != nullptr && ev.state->cancelled) {
-          ev.state->cancelled_in_heap.reset();
-          continue;  // dead: drop instead of migrating
-        }
+        if (ev.cancelled) continue;  // dead: drop instead of migrating
         const std::uint32_t dst =
             ev.exec < new_map.size() ? new_map[ev.exec] : new_count;
         SubQueue& target = *fresh[dst];
-        std::vector<HeapEntry>& into =
-            ev.state != nullptr ? target.timers : target.deliveries;
-        if (ev.state != nullptr) {
-          ev.state->cancelled_in_heap = target.cancelled_in_heap;
+        const std::uint32_t slot =
+            target.acquire_slot(std::move(ev.fn), ev.timer, ev.exec);
+        if (ev.timer != nullptr) {
+          target.timers.push_back(HeapEntry{entry.key, slot});
+          *ev.timer = TimerSlot{&target, slot};  // the Timer follows its event
+        } else {
+          target.deliveries.push_back(HeapEntry{entry.key, slot});
         }
-        into.push_back(HeapEntry{
-            entry.key, target.acquire_slot(std::move(ev.fn),
-                                           std::move(ev.state), ev.exec)});
       }
     }
   }
@@ -608,13 +555,13 @@ std::size_t Scheduler::pending_events() const {
 
 std::size_t Scheduler::live_events() const {
   std::size_t n = 0;
-  for (auto& sub : subs_) n += sub->size() - sub->cancelled();
+  for (auto& sub : subs_) n += sub->size() - sub->cancelled;
   return n;
 }
 
 std::size_t Scheduler::cancelled_events() const {
   std::size_t n = 0;
-  for (auto& sub : subs_) n += sub->cancelled();
+  for (auto& sub : subs_) n += sub->cancelled;
   return n;
 }
 

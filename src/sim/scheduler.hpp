@@ -13,9 +13,9 @@
 // the whole determinism story: a serial run and an 8-thread run execute the
 // same events in the same canonical order and are byte-identical.
 //
-// Each sub-queue keeps two binary heaps over one slot arena: one for
-// cancellable events (those with handle state, mostly protocol timers) and
-// one for handle-free events (post_in link deliveries and the cross-shard
+// Each sub-queue keeps two binary heaps over one slot arena: one for Timer
+// expiries (the only cancellable events) and one for every other event
+// (link deliveries, plain schedule_at/schedule_in calls and the cross-shard
 // events merged at barriers). Nearly every executed event is a delivery,
 // and the deliveries in flight number hundreds where the long-lived timers
 // (210 s data timeouts, holdtimes, query timers) number thousands, so a
@@ -31,24 +31,27 @@
 // worker threads without synchronization. An event scheduled for a domain
 // on another shard (a packet crossing a cut link) is staged in a per-edge
 // outbox and merged into the target's delivery heap at the window barrier
-// (staged events take no handle) — its canonical key was fixed at schedule
-// time, so it lands exactly where a serial run would have put it. Events
-// executed by domain 0 are *structural*: they may mutate cross-shard state
-// (move a host, crash a router, recompute routes), so the controller runs
-// them with every shard quiesced, interleaved with same-instant shard
-// events in canonical order.
+// (a staged Timer expiry is not cancellable) — its canonical key was fixed
+// at schedule time, so it lands exactly where a serial run would have put
+// it. Events executed by domain 0 are *structural*: they may mutate
+// cross-shard state (move a host, crash a router, recompute routes), so the
+// controller runs them with every shard quiesced, interleaved with
+// same-instant shard events in canonical order.
 // Structural events may only be scheduled from the world context (build
 // time or another structural event) or through a structurally-bound Timer.
 //
-// Cancellation is O(1) by invalidating a shared handle state; cancelled
-// events (only ever in a timer heap) are skipped when they surface at its
-// top AND reclaimed in bulk by threshold-based compaction. Handle states
-// are recycled through a per-shard free list, so the steady-state rearm
-// cycle performs no heap allocation (tests/sim/alloc_guard_test.cpp).
-// Events nothing cancels (link deliveries, via post_in) take no handle
-// state at all, and per-packet deadline refreshes move a stored expiry
-// (Timer::extend) instead of cancelling, so compaction is a backstop for
-// control-plane re-arms.
+// Cancellation is O(1): a Timer holds a TimerSlot naming the sub-queue and
+// arena slot of its queued expiry, and cancel() flags that slot. Cancelled
+// expiries (only ever in a timer heap) are skipped when they surface at its
+// top AND reclaimed in bulk by threshold-based compaction. The scheduler
+// keeps every TimerSlot current: it fills it when it queues the expiry,
+// rewrites it when resharding moves the event, and empties it when the
+// expiry runs or is cancelled and when the scheduler is destroyed, so a
+// Timer never holds a stale index and arming one allocates nothing beyond
+// the arena's steady-state capacity (tests/sim/alloc_guard_test.cpp).
+// Per-packet deadline refreshes move a stored expiry (Timer::extend)
+// instead of cancelling, so compaction is a backstop for control-plane
+// re-arms.
 #pragma once
 
 #include <atomic>
@@ -94,35 +97,18 @@ struct EventKey {
   }
 };
 
-/// Cancellable handle to a scheduled event. Copyable; all copies refer to the
-/// same event. A default-constructed handle is inert. Cross-shard staged
-/// events are not cancellable, nor are post_in events (Link deliveries
-/// never cancel).
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Cancels the event if it has not yet run. Safe to call repeatedly or on
-  /// an inert/expired handle.
-  void cancel();
-  /// True if the event is still scheduled (not run, not cancelled).
-  bool pending() const;
-
- private:
-  friend class Scheduler;
-  struct State {
-    bool cancelled = false;
-    bool executed = false;
-    /// Count of cancelled-but-still-heaped events, shared with the owning
-    /// sub-queue (shared so a handle outliving the scheduler stays safe).
-    std::shared_ptr<std::uint64_t> cancelled_in_heap;
-  };
-  explicit EventHandle(std::shared_ptr<State> s) : state_(std::move(s)) {}
-  std::shared_ptr<State> state_;
-};
-
 class Scheduler {
+  struct SubQueue;
+
  public:
+  /// Where a Timer's queued expiry sits; see the file comment. Only the
+  /// scheduler writes it. An empty slot (sub == nullptr) means no expiry is
+  /// queued for the timer.
+  struct TimerSlot {
+    SubQueue* sub = nullptr;
+    std::uint32_t index = 0;
+  };
+
   Scheduler();
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
@@ -144,15 +130,21 @@ class Scheduler {
 
   /// Schedules `fn` to run at absolute time `at` (must be >= now()), in the
   /// context of `exec` (defaults to the scheduling domain). SchedFn stores
-  /// closures up to 48 bytes without heap allocation.
-  EventHandle schedule_at(Time at, SchedFn fn);
-  EventHandle schedule_at(Time at, SchedFn fn, Domain exec);
+  /// closures up to 48 bytes without heap allocation. Nothing cancels
+  /// these events; a cancellable expiry is a Timer.
+  void schedule_at(Time at, SchedFn fn);
+  void schedule_at(Time at, SchedFn fn, Domain exec);
   /// Schedules `fn` to run `delay` from now (delay must be >= 0).
-  EventHandle schedule_in(Time delay, SchedFn fn);
-  EventHandle schedule_in(Time delay, SchedFn fn, Domain exec);
-  /// schedule_in without a handle, for events nothing ever cancels (link
-  /// deliveries): same canonical key, but no handle state is taken.
-  void post_in(Time delay, SchedFn fn, Domain exec);
+  void schedule_in(Time delay, SchedFn fn);
+  void schedule_in(Time delay, SchedFn fn, Domain exec);
+  /// schedule_at for a Timer's expiry: records where the event sits in
+  /// `slot`, which must be empty. An expiry staged for another shard leaves
+  /// `slot` empty and cannot be cancelled.
+  void schedule_timer(TimerSlot& slot, Time at, SchedFn fn, Domain exec);
+  /// Flags the expiry in `slot` cancelled and empties the slot. An empty
+  /// slot is a no-op that touches nothing, which makes a Timer safe to
+  /// cancel after its scheduler is gone (the destructor empties every slot).
+  static void cancel(TimerSlot& slot);
 
   /// Runs events until the queues are empty or `until` is reached; events
   /// at exactly `until` are executed. Returns the number executed.
@@ -221,8 +213,9 @@ class Scheduler {
   /// closure relocations.
   struct Event {
     SchedFn fn;
-    std::shared_ptr<EventHandle::State> state;
+    TimerSlot* timer = nullptr;  // the Timer whose queued expiry this is
     Domain exec = kWorldDomain;
+    bool cancelled = false;
   };
   struct HeapEntry {
     EventKey key;
@@ -241,17 +234,14 @@ class Scheduler {
   };
 
   struct SubQueue {
-    /// Binary heaps ordered by Later, both over `slots`: events with handle
-    /// state (cancellable; mostly timers), and handle-free events (post_in
-    /// deliveries, merged cross-shard events). Only `timers` can hold
-    /// cancelled entries.
+    /// Binary heaps ordered by Later, both over `slots`: Timer expiries,
+    /// and every other event. Only `timers` can hold cancelled entries.
     std::vector<HeapEntry> timers;
     std::vector<HeapEntry> deliveries;
     std::vector<Event> slots;
     std::vector<std::uint32_t> free_slots;
-    std::shared_ptr<std::uint64_t> cancelled_in_heap;
-    std::vector<std::shared_ptr<EventHandle::State>> state_pool;
-    std::vector<std::shared_ptr<EventHandle::State>> deferred;
+    /// Cancelled entries still in `timers`.
+    std::uint64_t cancelled = 0;
     /// One outbox per target shard (staged cross-shard events).
     std::vector<std::vector<Staged>> outbox;
     Time now = Time::zero();
@@ -259,9 +249,6 @@ class Scheduler {
     std::uint64_t compactions = 0;
     std::uint64_t emit_seq = 0;
 
-    std::uint64_t cancelled() const {
-      return cancelled_in_heap ? *cancelled_in_heap : 0;
-    }
     std::size_t size() const { return timers.size() + deliveries.size(); }
     /// The heap whose top is the earliest entry, or null when both are
     /// empty. Keys are unique, so popping it gives the one-heap order.
@@ -269,15 +256,12 @@ class Scheduler {
     static HeapEntry pop(std::vector<HeapEntry>& heap);
     /// Key of the earliest live entry, or at == never() when empty.
     EventKey min_key();
+    /// Queues an event; a `timer` puts it in the timer heap and records
+    /// its place there.
     void push(const EventKey& key, SchedFn&& fn, Domain exec,
-              std::shared_ptr<EventHandle::State> state);
-    std::uint32_t acquire_slot(SchedFn&& fn,
-                               std::shared_ptr<EventHandle::State> state,
-                               Domain exec);
+              TimerSlot* timer);
+    std::uint32_t acquire_slot(SchedFn&& fn, TimerSlot* timer, Domain exec);
     void release_slot(std::uint32_t slot);
-    std::shared_ptr<EventHandle::State> make_state();
-    void recycle(std::shared_ptr<EventHandle::State>&& state);
-    void sweep_deferred();
     void maybe_compact();
   };
 
@@ -291,8 +275,7 @@ class Scheduler {
   };
   static thread_local ExecCtx tls_;
 
-  EventHandle schedule_impl(Time at, SchedFn&& fn, Domain exec,
-                            bool cancellable);
+  void schedule_impl(Time at, SchedFn&& fn, Domain exec, TimerSlot* timer);
   /// Executes one popped entry on `sub` with the exec context set up.
   void execute_entry(SubQueue& sub, int shard, const HeapEntry& entry,
                      std::uint64_t& count);

@@ -6,6 +6,12 @@
 // callback. The callback is set once at construction, which mirrors how
 // protocol specs describe timers ("when the timer expires, do X").
 //
+// A Timer owns its cancellation: the scheduler records in the Timer's
+// TimerSlot where its expiry is queued and empties the slot when the expiry
+// runs, so running() reads the slot and cancel() flags that one event,
+// with no shared state between them. A Timer therefore cannot be moved, and
+// it may outlive its scheduler (it then reports not running).
+//
 // A per-packet refresh (the (S,G) data timeout) uses extend() instead of
 // arm(): moving the deadline later only stores it, and the pending event
 // wakes at the old expiry and sleeps on to the stored one. The timer still
@@ -52,7 +58,7 @@ class Timer {
   void arm(Time delay) {
     cancel();
     expiry_ = sched_->now() + delay;
-    handle_ = sched_->schedule_in(delay, [this] { on_event(); }, domain_);
+    sched_->schedule_timer(slot_, expiry_, [this] { on_event(); }, domain_);
   }
 
   /// Moves the expiry to `delay` from now. On a running timer a deadline at
@@ -78,11 +84,11 @@ class Timer {
   }
 
   void cancel() {
-    handle_.cancel();
+    Scheduler::cancel(slot_);
     expiry_ = Time::never();
   }
 
-  bool running() const { return handle_.pending(); }
+  bool running() const { return slot_.sub != nullptr; }
   /// Absolute expiry time, or Time::never() when idle.
   Time expiry() const { return running() ? expiry_ : Time::never(); }
   /// Time remaining until expiry; never() when idle.
@@ -94,7 +100,7 @@ class Timer {
   void on_event() {
     if (sched_->now() < expiry_) {
       // extend() moved the deadline since this event was scheduled.
-      handle_ = sched_->schedule_at(expiry_, [this] { on_event(); }, domain_);
+      sched_->schedule_timer(slot_, expiry_, [this] { on_event(); }, domain_);
       return;
     }
     expiry_ = Time::never();
@@ -109,7 +115,7 @@ class Timer {
   Scheduler* sched_;
   Domain domain_;
   std::function<void()> on_expire_;
-  EventHandle handle_;
+  Scheduler::TimerSlot slot_;
   Time expiry_ = Time::never();
 };
 

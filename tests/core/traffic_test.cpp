@@ -116,9 +116,9 @@ TEST(GroupReceiverApp, DeduplicatesBySequence) {
         UdpDatagram{9000, 9000, p.encode(32)}.serialize(spec.src, spec.dst);
     return build_datagram(spec);
   };
-  h.stack->receive_as_if(h.iface(), make(1));
-  h.stack->receive_as_if(h.iface(), make(1));
-  h.stack->receive_as_if(h.iface(), make(2));
+  h.stack->receive_as_if(h.iface(), Packet(make(1)));
+  h.stack->receive_as_if(h.iface(), Packet(make(1)));
+  h.stack->receive_as_if(h.iface(), Packet(make(2)));
   EXPECT_EQ(app.unique_received(), 2u);
   EXPECT_EQ(app.duplicates(), 1u);
 }
@@ -142,7 +142,7 @@ TEST(GroupReceiverApp, DeduplicatesOutOfOrderArrivals) {
     spec.protocol = proto::kUdp;
     spec.payload =
         UdpDatagram{9000, 9000, p.encode(32)}.serialize(spec.src, spec.dst);
-    h.stack->receive_as_if(h.iface(), build_datagram(spec));
+    h.stack->receive_as_if(h.iface(), Packet(build_datagram(spec)));
   };
   // Late, early and repeated sequence numbers around a gap, as a handoff
   // that switches between two delivery paths produces.
@@ -174,7 +174,7 @@ TEST(GroupReceiverApp, FiltersByPort) {
   spec.protocol = proto::kUdp;
   spec.payload =
       UdpDatagram{1, 8888, p.encode(32)}.serialize(spec.src, spec.dst);
-  h.stack->receive_as_if(h.iface(), build_datagram(spec));
+  h.stack->receive_as_if(h.iface(), Packet(build_datagram(spec)));
   EXPECT_EQ(app.unique_received(), 0u);
 }
 
@@ -199,7 +199,7 @@ TEST(GroupReceiverApp, TimeQueries) {
       spec.protocol = proto::kUdp;
       spec.payload =
           UdpDatagram{9000, 9000, p.encode(32)}.serialize(spec.src, spec.dst);
-      h.stack->receive_as_if(h.iface(), build_datagram(spec));
+      h.stack->receive_as_if(h.iface(), Packet(build_datagram(spec)));
     });
   };
   deliver_at(Time::sec(1), 1);

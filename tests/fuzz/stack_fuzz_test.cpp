@@ -114,7 +114,7 @@ TEST(StackFuzz, BombardmentIsClassifiedAndServiceSurvives) {
     Rng rng(Rng::derive_seed(0xFEEDFACE, s));
     for (int i = 0; i < kCasesPerSeed; ++i) {
       const FuzzFrame& base = templates[rng.uniform_int(templates.size())];
-      t.r.stack->receive_as_if(rx, mutate_frame(base, rng));
+      t.r.stack->receive_as_if(rx, Packet(mutate_frame(base, rng)));
       // Drain any response traffic (Parameter Problems, acks, prunes).
       if (i % 50 == 0) {
         t.world.run_until(t.world.now() + Time::ms(10));
@@ -270,7 +270,7 @@ TEST(StackFuzz, CrossEngineBombardmentRejectsByNameAndBothEnginesSurvive) {
     Rng rng(Rng::derive_seed(0xC0E71517, s));
     for (int i = 0; i < 200; ++i) {
       const FuzzFrame& base = templates[rng.uniform_int(templates.size())];
-      Bytes mutated = mutate_frame(base, rng);
+      const Packet mutated(mutate_frame(base, rng));
       t.rp.stack->receive_as_if(rp_rx, mutated);
       t.rh.stack->receive_as_if(rh_rx, mutated);
       if (i % 50 == 0) t.world.run_until(t.world.now() + Time::ms(10));
@@ -309,7 +309,7 @@ TEST(StackFuzz, ValidTemplatesAreAcceptedUnmutated) {
   std::uint64_t parse_errors_before =
       t.world.net().counters().get("ipv6/rx-drop/parse-error");
   for (const FuzzFrame& f : router_templates(t)) {
-    t.r.stack->receive_as_if(t.r.iface_on(t.l0), f.octets);
+    t.r.stack->receive_as_if(t.r.iface_on(t.l0), Packet(f.octets));
   }
   t.world.run_until(t.world.now() + Time::ms(100));
   EXPECT_EQ(t.world.net().counters().get("ipv6/rx-drop/parse-error"),

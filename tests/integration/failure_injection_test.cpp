@@ -142,7 +142,7 @@ TEST(FailureInjection, CorruptedDataPayloadRejectedByChecksum) {
       UdpDatagram{kPort, kPort, p.encode(64)}.serialize(spec.src, spec.dst);
   Bytes wire = build_datagram(spec);
   wire[50] ^= 0x01;  // flip a bit inside the UDP payload
-  f.recv1->stack->receive_as_if(f.recv1->iface(), std::move(wire));
+  f.recv1->stack->receive_as_if(f.recv1->iface(), Packet(std::move(wire)));
   EXPECT_EQ(app.unique_received(), 0u);  // checksum rejected it
 }
 

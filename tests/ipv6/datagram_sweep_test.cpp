@@ -97,18 +97,23 @@ TEST_P(TunnelDepthSweep, NestedEncapsulationUnwinds) {
         Address::from_prefix_iid(Address::parse("2001:db8::"), i + 100));
   }
   EXPECT_EQ(wire.size(), original.size() + depth * kTunnelOverhead);
-  // Each decapsulation parses the next datagram in place, inside the
-  // outermost octets.
-  ParseResult<ParsedDatagram> d = try_parse_datagram(wire);
-  BytesView innermost = wire;
-  for (int i = 0; i < depth; ++i) {
+  // Each decapsulation copies the next datagram into its own buffer, which
+  // its parse views; the layer it came from may then go.
+  const ParseResult<ParsedDatagram> outer = try_parse_datagram(wire);
+  ASSERT_TRUE(outer.ok()) << outer.failure().str();
+  ParseResult<InnerDatagram> d = try_decapsulate(outer.value());
+  for (int i = 1; i < depth; ++i) {
     ASSERT_TRUE(d.ok()) << d.failure().str();
-    innermost = d.value().payload;
-    d = try_decapsulate(d.value());
+    const InnerDatagram& in = d.value();
+    EXPECT_EQ(in.packet.size(),
+              original.size() + (depth - i) * kTunnelOverhead);
+    EXPECT_EQ(in.datagram.payload.data(),
+              in.packet.view().data() + Ipv6Header::kSize);
+    d = try_decapsulate(in.datagram);
   }
   ASSERT_TRUE(d.ok()) << d.failure().str();
-  EXPECT_EQ(Bytes(innermost.begin(), innermost.end()), original);
-  EXPECT_EQ(d.value().hdr.src, inner_spec.src);
+  EXPECT_EQ(d.value().packet.data(), original);
+  EXPECT_EQ(d.value().datagram.hdr.src, inner_spec.src);
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, TunnelDepthSweep,

@@ -155,9 +155,9 @@ TEST(ParamProblem, NeverRepliesToUnreplyableSource) {
   spec.src = Address();  // unspecified
   spec.dst = t.b->global_address(t.b_iface());
   spec.dest_options.push_back(DestOption{0xbe, Bytes(4, 0xee), 0});
-  t.b->receive_as_if(t.b_iface(), build_datagram(spec));
+  t.b->receive_as_if(t.b_iface(), Packet(build_datagram(spec)));
   spec.src = Address::parse("ff02::1");  // multicast source
-  t.b->receive_as_if(t.b_iface(), build_datagram(spec));
+  t.b->receive_as_if(t.b_iface(), Packet(build_datagram(spec)));
   t.net.scheduler().run();
   EXPECT_EQ(t.net.counters().get("ipv6/rx-drop/unrecognized-option"), 2u);
   EXPECT_EQ(t.net.counters().get("icmpv6/tx/param-problem"), 0u);

@@ -277,7 +277,7 @@ TEST(Stack, ReceiveAsIfRunsFullPath) {
   spec.dst = a;
   spec.protocol = proto::kUdp;
   spec.payload = UdpDatagram{5, 6, Bytes{}}.serialize(a, a);
-  t.host_a->receive_as_if(t.a_iface(), build_datagram(spec));
+  t.host_a->receive_as_if(t.a_iface(), Packet(build_datagram(spec)));
   EXPECT_EQ(got, 1);
 }
 
@@ -301,10 +301,10 @@ TEST(Stack, RawSendOfNonIpv6OctetsThrowsNamingCaller) {
     return "no LogicError";
   };
   // Too short for a fixed header; then a whole header with version 0.
-  EXPECT_EQ(error_of([&] { t.host_a->send_raw(Bytes{1, 2, 3}); }),
+  EXPECT_EQ(error_of([&] { t.host_a->send_raw(Packet(Bytes{1, 2, 3})); }),
             "send_raw on a malformed datagram: truncated: IPv6 fixed header");
   EXPECT_EQ(error_of([&] {
-              t.host_a->send_raw_on_iface(t.a_iface(), Bytes(40, 0));
+              t.host_a->send_raw_on_iface(t.a_iface(), Packet(Bytes(40, 0)));
             }),
             "send_raw_on_iface on a malformed datagram: bad-type: IPv6 "
             "version field is not 6");

@@ -310,16 +310,20 @@ TEST(Tunnel, EncapsulateDecapsulateRoundTrip) {
   EXPECT_EQ(parsed_outer.value().hdr.src, ha);
   EXPECT_EQ(parsed_outer.value().hdr.dst, coa);
   EXPECT_EQ(parsed_outer.value().protocol, proto::kIpv6);
-  // The inner datagram is the outer payload, parsed in place.
+  // The inner datagram is the outer payload.
   EXPECT_EQ(Bytes(parsed_outer.value().payload.begin(),
                   parsed_outer.value().payload.end()),
             inner);
-  ParseResult<ParsedDatagram> parsed_inner =
-      try_decapsulate(parsed_outer.value());
-  ASSERT_TRUE(parsed_inner.ok()) << parsed_inner.failure().str();
-  EXPECT_EQ(parsed_inner.value().hdr.dst, inner_spec.dst);
-  EXPECT_EQ(parsed_inner.value().payload.data(),
-            parsed_outer.value().payload.data() + Ipv6Header::kSize);
+  ParseResult<InnerDatagram> decap = try_decapsulate(parsed_outer.value());
+  ASSERT_TRUE(decap.ok()) << decap.failure().str();
+  const InnerDatagram& in = decap.value();
+  EXPECT_EQ(in.datagram.hdr.dst, inner_spec.dst);
+  // Decapsulation copies the inner octets into their own buffer, and the
+  // parse views that copy, not the outer datagram.
+  EXPECT_EQ(in.packet.data(), inner);
+  EXPECT_NE(in.packet.view().data(), parsed_outer.value().payload.data());
+  EXPECT_EQ(in.datagram.payload.data(),
+            in.packet.view().data() + Ipv6Header::kSize);
 }
 
 TEST(Tunnel, DecapsulateRejectsNonTunnel) {
@@ -329,7 +333,7 @@ TEST(Tunnel, DecapsulateRejectsNonTunnel) {
   const Bytes wire = build_datagram(spec);
   ParseResult<ParsedDatagram> outer = try_parse_datagram(wire);
   ASSERT_TRUE(outer.ok()) << outer.failure().str();
-  ParseResult<ParsedDatagram> inner = try_decapsulate(outer.value());
+  ParseResult<InnerDatagram> inner = try_decapsulate(outer.value());
   ASSERT_FALSE(inner.ok());
   EXPECT_EQ(inner.failure().reason, ParseReason::kBadType);
 }
@@ -341,7 +345,7 @@ TEST(Tunnel, DecapsulateRejectsGarbageInner) {
   const Bytes wire = build_datagram(spec);
   ParseResult<ParsedDatagram> outer = try_parse_datagram(wire);
   ASSERT_TRUE(outer.ok()) << outer.failure().str();
-  ParseResult<ParsedDatagram> inner = try_decapsulate(outer.value());
+  ParseResult<InnerDatagram> inner = try_decapsulate(outer.value());
   ASSERT_FALSE(inner.ok());
   EXPECT_EQ(inner.failure().reason, ParseReason::kTruncated);
 }
@@ -354,13 +358,14 @@ TEST(Tunnel, NestedEncapsulation) {
   Bytes outer = encapsulate(mid, Address::parse("::3"), Address::parse("::4"));
   ParseResult<ParsedDatagram> po = try_parse_datagram(outer);
   ASSERT_TRUE(po.ok()) << po.failure().str();
-  ParseResult<ParsedDatagram> pm = try_decapsulate(po.value());
+  ParseResult<InnerDatagram> pm = try_decapsulate(po.value());
   ASSERT_TRUE(pm.ok()) << pm.failure().str();
-  EXPECT_EQ(Bytes(pm.value().payload.begin(), pm.value().payload.end()),
+  EXPECT_EQ(Bytes(pm.value().datagram.payload.begin(),
+                  pm.value().datagram.payload.end()),
             inner);
-  ParseResult<ParsedDatagram> pi = try_decapsulate(pm.value());
+  ParseResult<InnerDatagram> pi = try_decapsulate(pm.value().datagram);
   ASSERT_TRUE(pi.ok()) << pi.failure().str();
-  EXPECT_EQ(pi.value().protocol, proto::kNoNext);
+  EXPECT_EQ(pi.value().datagram.protocol, proto::kNoNext);
 }
 
 }  // namespace

@@ -307,7 +307,7 @@ struct PoolProgram {
       *buf = tag_bytes(tag);
       if (rng.uniform_int(3) == 0) {
         const auto to = static_cast<Domain>(1 + rng.uniform_int(kDomains));
-        sched.post_in(
+        sched.schedule_in(
             Time::us(100 * static_cast<std::int64_t>(1 + rng.uniform_int(3))),
             [this, to, buf, tag] { held[to].push_back(Held{buf, tag}); }, to);
       } else {

@@ -5,11 +5,13 @@
 // its own test binary: the override is process-wide.
 //
 // Guarded invariants (see src/sim/scheduler.hpp):
-//  * steady-state Timer::arm -> cancel -> arm cycles allocate nothing — the
-//    scheduler recycles EventHandle states through a free list and the arm
-//    lambda fits std::function's inline buffer;
+//  * steady-state Timer::arm -> cancel -> arm cycles allocate nothing — a
+//    Timer records its expiry's arena slot in its own TimerSlot, so arming
+//    takes no shared state, and the arm lambda fits SchedFn's inline
+//    buffer. That holds for any number of timers expiring before they are
+//    re-armed;
 //  * so do Timer::extend -> wake-up -> reschedule -> expire cycles and
-//    handle-free Scheduler::post_in events;
+//    plain Scheduler::schedule_in events;
 //  * Trace::emit with no sink installed allocates nothing — detail strings
 //    are built lazily, only when a sink will consume them.
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
@@ -55,10 +58,9 @@ TEST(AllocGuard, SteadyStateTimerRearmDoesNotAllocate) {
   int fired = 0;
   Timer timer(sched, [&fired] { ++fired; });
 
-  // Warm-up: grow the heap vector, the state free list, and their
-  // capacities to steady state. Each arm() cancels the previous expiry;
-  // the dead entry drains lazily ~9 pops later and its state recycles
-  // into the free list.
+  // Warm-up: grow the heap vector and the slot arena to steady state. Each
+  // arm() cancels the previous expiry; the dead entry drains lazily ~9 pops
+  // later and its slot returns to the free list.
   for (int i = 0; i < 256; ++i) {
     timer.arm(Time::ms(10));
     sched.run_until(sched.now() + Time::ms(1));
@@ -96,6 +98,31 @@ TEST(AllocGuard, ExpiringTimersDoNotAllocateAtSteadyState) {
   EXPECT_EQ(fired, 10256u);
 }
 
+// Many timers that all expire before any is re-armed: every expiry leaves
+// its timer idle until the next cycle re-arms it.
+TEST(AllocGuard, ManyTimersExpiringBeforeRearmDoNotAllocate) {
+  constexpr int kTimers = 4096;
+  Scheduler sched;
+  std::uint64_t fired = 0;
+  std::vector<std::unique_ptr<Timer>> timers;
+  for (int i = 0; i < kTimers; ++i) {
+    timers.push_back(std::make_unique<Timer>(sched, [&fired] { ++fired; }));
+  }
+  // Timer i is armed for i + 1 us; each cycle runs past all of them.
+  auto cycle = [&] {
+    for (int i = 0; i < kTimers; ++i) timers[i]->arm(Time::us(i + 1));
+    sched.run_until(sched.now() + Time::us(kTimers + 1));
+  };
+  for (int i = 0; i < 4; ++i) cycle();
+  ASSERT_EQ(fired, 4u * kTimers);
+
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 16; ++i) cycle();
+  EXPECT_EQ(allocations() - before, 0u)
+      << "re-arming expired timers allocated on the hot path";
+  EXPECT_EQ(fired, 20u * kTimers);
+}
+
 TEST(AllocGuard, ExtendWakeUpCycleDoesNotAllocateAtSteadyState) {
   Scheduler sched;
   std::uint64_t fired = 0;
@@ -125,7 +152,7 @@ TEST(AllocGuard, PostedEventsDoNotAllocateAtSteadyState) {
   std::uint64_t ran = 0;
   auto burst = [&] {
     for (int k = 0; k < 8; ++k) {
-      sched.post_in(Time::us(10 * k), [&ran] { ++ran; }, d);
+      sched.schedule_in(Time::us(10 * k), [&ran] { ++ran; }, d);
     }
     sched.run_until(sched.now() + Time::ms(1));
   };
@@ -133,7 +160,8 @@ TEST(AllocGuard, PostedEventsDoNotAllocateAtSteadyState) {
 
   const std::uint64_t before = allocations();
   for (int i = 0; i < 10000; ++i) burst();
-  EXPECT_EQ(allocations(), before) << "post_in allocated on the hot path";
+  EXPECT_EQ(allocations(), before)
+      << "schedule_in allocated on the hot path";
   EXPECT_EQ(ran, 8u * 10256u);
 }
 

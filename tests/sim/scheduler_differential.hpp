@@ -1,13 +1,13 @@
 // Differential workload for the scheduler's two-heap sub-queues.
 //
-// One seeded random program — post_in deliveries, schedule_at/schedule_in
-// events, cancels, Timer arms and extends, and many same-instant ties —
-// runs over the world domain plus kNodeDomains node domains, once on
-// mip6::Scheduler (serial or sharded) and once on RefScheduler, a
-// single-queue reference kept in canonical-key order. Every executed event
-// the program sees logs its (key, exec domain); both runs must log the same
-// sequence. Each domain draws from its own Rng and touches only its own
-// handles and timers, so the same program is legal at any shard count.
+// One seeded random program — schedule_at/schedule_in events, Timer arms,
+// extends and cancels, and many same-instant ties — runs over the world
+// domain plus kNodeDomains node domains, once on mip6::Scheduler (serial or
+// sharded) and once on RefScheduler, a single-queue reference kept in
+// canonical-key order. Every executed event the program sees logs its
+// (key, exec domain); both runs must log the same sequence. Each domain
+// draws from its own Rng and touches only its own timers, so the same
+// program is legal at any shard count.
 // Node domains schedule into other domains at least kLookahead ahead and
 // never into the world domain, which sharded execution requires.
 #pragma once
@@ -40,7 +40,9 @@ struct Exec {
 };
 
 /// Single-queue reference: one std::map in canonical-key order, keys
-/// assigned exactly as Scheduler::schedule_impl assigns them.
+/// assigned exactly as Scheduler::schedule_impl assigns them. Every event
+/// gets a shared cancellation handle, a mechanism independent of the real
+/// scheduler's per-Timer slots.
 class RefScheduler {
  public:
   struct State {
@@ -80,16 +82,13 @@ class RefScheduler {
   Handle schedule_in(Time delay, std::function<void()> fn, Domain exec) {
     return schedule_at(now_ + delay, std::move(fn), exec);
   }
-  void post_in(Time delay, std::function<void()> fn, Domain exec) {
-    push(now_ + delay, std::move(fn), exec, nullptr);
-  }
 
   void run_until(Time until) {
     while (!queue_.empty() && queue_.begin()->first.at <= until) {
       auto node = queue_.extract(queue_.begin());
       Entry& e = node.mapped();
-      if (e.state && e.state->cancelled) continue;
-      if (e.state) e.state->executed = true;
+      if (e.state->cancelled) continue;
+      e.state->executed = true;
       now_ = node.key().at;
       exec_ = e.exec;
       key_ = &node.key();
@@ -104,7 +103,7 @@ class RefScheduler {
   std::size_t live_events() const {
     std::size_t n = 0;
     for (const auto& [key, e] : queue_) {
-      if (!e.state || !e.state->cancelled) ++n;
+      if (!e.state->cancelled) ++n;
     }
     return n;
   }
@@ -176,12 +175,10 @@ template <class Sched>
 struct Traits;
 template <>
 struct Traits<Scheduler> {
-  using Handle = EventHandle;
   using TimerT = Timer;
 };
 template <>
 struct Traits<RefScheduler> {
-  using Handle = RefScheduler::Handle;
   using TimerT = RefTimer;
 };
 
@@ -190,11 +187,9 @@ struct Traits<RefScheduler> {
 template <class Sched>
 class Program {
  public:
-  using Handle = typename Traits<Sched>::Handle;
   using TimerT = typename Traits<Sched>::TimerT;
 
-  static constexpr int kTimersPerDomain = 3;
-  static constexpr int kHandlesKept = 8;
+  static constexpr int kTimersPerDomain = 6;
   static constexpr std::uint64_t kMaxDelayUs = 12;
   static constexpr std::uint64_t kTimerMaxUs = 120;
 
@@ -219,28 +214,28 @@ class Program {
   }
 
   /// Seeds every domain with events and timers from the world context,
-  /// and cancels a few of them before anything runs.
+  /// and cancels one timer per domain before anything runs.
   void start() {
     Rng rng(lps_[0].rng->next_u64());
     for (Domain d = 0; d <= kNodeDomains; ++d) {
       for (int i = 0; i < 3; ++i) {
         const Time delay = Time::us(static_cast<std::int64_t>(
             rng.uniform_int(kMaxDelayUs)));
-        sched_.post_in(delay, [this, d] { fire(d); }, d);
-        Handle h = sched_.schedule_in(delay, [this, d] { fire(d); }, d);
-        if (i == 0) h.cancel();
+        sched_.schedule_in(delay, [this, d] { fire(d); }, d);
+        sched_.schedule_at(sched_.now() + delay, [this, d] { fire(d); }, d);
       }
       for (auto& t : lps_[d].timers) {
         t->arm(Time::us(1 + static_cast<std::int64_t>(
                                 rng.uniform_int(kTimerMaxUs))));
       }
+      lps_[d].timers.front()->cancel();
     }
   }
 
   /// Between run_until calls: a delivery with world provenance, as
   /// structural code after a run_until makes one.
   void poke(Domain d) {
-    sched_.post_in(Time::zero(), [this, d] { fire(d); }, d);
+    sched_.schedule_in(Time::zero(), [this, d] { fire(d); }, d);
   }
 
   std::vector<std::vector<Exec>> per_domain;
@@ -250,7 +245,6 @@ class Program {
   struct Lp {
     std::unique_ptr<Rng> rng;
     int budget = 0;
-    std::vector<Handle> own;
     std::vector<std::unique_ptr<TimerT>> timers;
   };
 
@@ -276,14 +270,6 @@ class Program {
     return 1 + static_cast<Domain>(rng.uniform_int(kNodeDomains));
   }
 
-  void keep(Lp& lp, Handle h) {
-    if (lp.own.size() < kHandlesKept) {
-      lp.own.push_back(std::move(h));
-    } else {
-      lp.own[lp.rng->uniform_int(kHandlesKept)] = std::move(h);
-    }
-  }
-
   void act(Domain d) {
     Lp& lp = lps_[d];
     Rng& rng = *lp.rng;
@@ -292,26 +278,20 @@ class Program {
       Time delay;
       switch (rng.uniform_int(8)) {
         case 0:
-        case 1: {
-          const Domain to = pick_target(d, rng, delay);
-          sched_.post_in(delay, [this, to] { fire(to); }, to);
-          break;
-        }
+        case 1:
         case 2: {
           const Domain to = pick_target(d, rng, delay);
-          Handle h = sched_.schedule_in(delay, [this, to] { fire(to); }, to);
-          if (to == d) keep(lp, std::move(h));
+          sched_.schedule_in(delay, [this, to] { fire(to); }, to);
           break;
         }
         case 3: {
           const Domain to = pick_target(d, rng, delay);
-          Handle h = sched_.schedule_at(sched_.now() + delay,
-                                        [this, to] { fire(to); }, to);
-          if (to == d) keep(lp, std::move(h));
+          sched_.schedule_at(sched_.now() + delay, [this, to] { fire(to); },
+                             to);
           break;
         }
         case 4:
-          if (!lp.own.empty()) lp.own[rng.uniform_int(lp.own.size())].cancel();
+          timer(lp).cancel();
           break;
         case 5:
           timer(lp).arm(timer_delay(rng));

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "scheduler_differential.hpp"
 #include "sim/rng.hpp"
+#include "sim/timer.hpp"
 
 namespace mip6 {
 namespace {
@@ -67,27 +69,6 @@ TEST(Scheduler, SchedulingIntoThePastThrows) {
   EXPECT_THROW(s.schedule_at(Time::never(), [] {}), LogicError);
 }
 
-TEST(Scheduler, CancelPreventsExecution) {
-  Scheduler s;
-  int ran = 0;
-  EventHandle h = s.schedule_at(Time::sec(1), [&] { ++ran; });
-  EXPECT_TRUE(h.pending());
-  h.cancel();
-  EXPECT_FALSE(h.pending());
-  s.run();
-  EXPECT_EQ(ran, 0);
-}
-
-TEST(Scheduler, CancelAfterExecutionIsNoop) {
-  Scheduler s;
-  int ran = 0;
-  EventHandle h = s.schedule_at(Time::sec(1), [&] { ++ran; });
-  s.run();
-  EXPECT_FALSE(h.pending());
-  h.cancel();  // must not crash or affect anything
-  EXPECT_EQ(ran, 1);
-}
-
 TEST(Scheduler, EventsCanScheduleMoreEvents) {
   Scheduler s;
   std::vector<Time> fire_times;
@@ -101,12 +82,6 @@ TEST(Scheduler, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(fire_times.back(), Time::sec(5));
 }
 
-TEST(Scheduler, InertHandleIsSafe) {
-  EventHandle h;
-  EXPECT_FALSE(h.pending());
-  h.cancel();
-}
-
 TEST(Scheduler, ExecutedEventsCounterAccumulates) {
   Scheduler s;
   for (int i = 0; i < 7; ++i) s.schedule_in(Time::sec(i + 1), [] {});
@@ -115,12 +90,11 @@ TEST(Scheduler, ExecutedEventsCounterAccumulates) {
 }
 
 // Regression: cancelled events used to sit in the queue until their expiry
-// time surfaced at the top, so the re-arm pattern (schedule far-future,
-// cancel, repeat — what every Timer::arm does) grew the heap without bound.
-// Compaction must keep the heap proportional to the LIVE event count.
-// The bound holds with deliveries in flight too: they sit in their own
-// heap, so they neither dilute the timer heap's cancelled share nor delay
-// its compaction.
+// time surfaced at the top, so the re-arm pattern (arm far-future, cancel,
+// repeat) grew the heap without bound. Compaction must keep the heap
+// proportional to the LIVE event count. The bound holds with deliveries in
+// flight too: they sit in their own heap, so they neither dilute the timer
+// heap's cancelled share nor delay its compaction.
 TEST(Scheduler, TenThousandCancelsKeepQueueBounded) {
   for (std::size_t in_flight : {0u, 1000u}) {
     SCOPED_TRACE("deliveries in flight: " + std::to_string(in_flight));
@@ -128,11 +102,12 @@ TEST(Scheduler, TenThousandCancelsKeepQueueBounded) {
     const Domain d = s.add_domain();
     std::size_t delivered = 0;
     for (std::size_t i = 0; i < in_flight; ++i) {
-      s.post_in(Time::sec(1), [&delivered] { ++delivered; }, d);
+      s.schedule_in(Time::sec(1), [&delivered] { ++delivered; }, d);
     }
+    Timer t(s, [] {});
     for (int i = 0; i < 10000; ++i) {
-      EventHandle h = s.schedule_at(Time::sec(1000 + i), [] {});
-      h.cancel();
+      t.arm(Time::sec(1000 + i));
+      t.cancel();
     }
     EXPECT_EQ(s.live_events(), in_flight);
     EXPECT_EQ(s.live_events() + s.cancelled_events(), s.pending_events());
@@ -146,62 +121,88 @@ TEST(Scheduler, TenThousandCancelsKeepQueueBounded) {
 TEST(Scheduler, CompactionPreservesLiveEventsAndOrder) {
   Scheduler s;
   std::vector<int> order;
+  std::vector<std::unique_ptr<Timer>> live;
   for (int i = 0; i < 100; ++i) {
-    s.schedule_at(Time::sec(i + 1), [&order, i] { order.push_back(i); });
+    live.push_back(
+        std::make_unique<Timer>(s, [&order, i] { order.push_back(i); }));
+    live.back()->arm(Time::sec(i + 1));
   }
-  // Interleave enough schedule+cancel churn to force several compactions
-  // while the live events above are still in the heap.
+  // Interleave enough arm+cancel churn to force several compactions while
+  // the live timers above are still in the heap.
+  Timer churn(s, [] {});
   for (int i = 0; i < 1000; ++i) {
-    EventHandle h = s.schedule_at(Time::sec(5000), [] {});
-    h.cancel();
+    churn.arm(Time::sec(5000));
+    churn.cancel();
   }
   EXPECT_GT(s.compactions(), 0u);
   EXPECT_EQ(s.live_events(), 100u);
+  // Compaction reorders heap entries but never moves an event's slot, so
+  // every live timer still cancels its own expiry.
+  live[50]->cancel();
   s.run_until(Time::sec(200));
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
+  ASSERT_EQ(order.size(), 99u);
+  for (int i = 0; i < 99; ++i) EXPECT_EQ(order[i], i < 50 ? i : i + 1);
 }
 
+// A Timer that outlives its scheduler: the scheduler's destructor empties
+// the timer's slot, so the timer reports idle and its cancel() (and its
+// destructor) touch nothing.
 TEST(Scheduler, HandleOutlivesSchedulerSafely) {
-  EventHandle h;
+  std::unique_ptr<Timer> t;
   {
     Scheduler s;
-    h = s.schedule_at(Time::sec(1), [] {});
+    t = std::make_unique<Timer>(s, [] {});
+    t->arm(Time::sec(1));
+    EXPECT_TRUE(t->running());
   }
-  EXPECT_TRUE(h.pending());  // never ran, never cancelled
-  h.cancel();                // must not touch the destroyed scheduler
-  EXPECT_FALSE(h.pending());
+  EXPECT_FALSE(t->running());
+  t->cancel();  // must not touch the destroyed scheduler
+  EXPECT_FALSE(t->running());
 }
 
+// An expired timer's arena slot is reused by the next event. The idle
+// timer must not still name it: cancelling the timer must leave every new
+// event queued.
 TEST(Scheduler, RecycledStatesDoNotConfuseOldHandles) {
   Scheduler s;
-  EventHandle stale = s.schedule_at(Time::sec(1), [] {});
+  Timer stale(s, [] {});
+  stale.arm(Time::sec(1));
   s.run_until(Time::sec(1));
-  EXPECT_FALSE(stale.pending());
-  // The executed event's state cannot be recycled while `stale` holds it,
-  // so a burst of new events must not flip `stale` back to pending.
-  for (int i = 0; i < 50; ++i) s.schedule_at(Time::sec(10), [] {});
-  EXPECT_FALSE(stale.pending());
+  EXPECT_FALSE(stale.running());
+  int ran = 0;
+  Timer fresh(s, [&ran] { ++ran; });
+  fresh.arm(Time::sec(10));  // takes the freed slot
+  for (int i = 0; i < 49; ++i) s.schedule_at(Time::sec(10), [&ran] { ++ran; });
+  EXPECT_FALSE(stale.running());
+  stale.cancel();
+  EXPECT_TRUE(fresh.running());
+  EXPECT_EQ(s.cancelled_events(), 0u);
+  EXPECT_EQ(s.live_events(), 50u);
+  EXPECT_EQ(s.run(), 50u);
+  EXPECT_EQ(ran, 50);
 }
 
 // Replays one random event tree: each event logs (time, id) and spawns one
 // or two children at small random delays into random domains, so many
-// events tie on their execution time. With `post`, the children drawn as
-// deliveries go through post_in instead of schedule_in.
-std::vector<std::pair<Time, int>> run_event_tree(bool post) {
+// events tie on their execution time. With `timers`, the children drawn as
+// timers are a Timer's expiry (the timer heap) instead of a plain event.
+std::vector<std::pair<Time, int>> run_event_tree(bool timers) {
   Scheduler s;
   const Domain domains[] = {kWorldDomain, s.add_domain(), s.add_domain()};
   Rng rng(11);
   std::vector<std::pair<Time, int>> log;
+  std::vector<std::unique_ptr<Timer>> armed;
   int next_id = 0;
   std::function<void(int)> fire;
   auto spawn = [&] {
     const int id = next_id++;
     const Time delay = Time::us(static_cast<std::int64_t>(rng.uniform_int(10)));
     const Domain exec = domains[rng.uniform_int(3)];
-    const bool delivery = rng.bernoulli(0.5);
-    if (post && delivery) {
-      s.post_in(delay, [&fire, id] { fire(id); }, exec);
+    const bool timer = rng.bernoulli(0.5);
+    if (timers && timer) {
+      armed.push_back(
+          std::make_unique<Timer>(s, [&fire, id] { fire(id); }, exec));
+      armed.back()->arm(delay);
     } else {
       s.schedule_in(delay, [&fire, id] { fire(id); }, exec);
     }
@@ -216,27 +217,33 @@ std::vector<std::pair<Time, int>> run_event_tree(bool post) {
   return log;
 }
 
+// Plain events and timer expiries sit in different heaps; the pops must
+// still follow the canonical key, exactly as with plain events alone.
 TEST(Scheduler, PostedEventsKeepTheCanonicalOrder) {
-  const auto with_handles = run_event_tree(false);
-  const auto posted = run_event_tree(true);
-  ASSERT_EQ(with_handles.size(), 5000u);
-  EXPECT_EQ(posted, with_handles);
+  const auto plain = run_event_tree(false);
+  const auto with_timers = run_event_tree(true);
+  ASSERT_EQ(plain.size(), 5000u);
+  EXPECT_EQ(with_timers, plain);
 }
 
+// Only a Timer's expiry can be cancelled; plain events always run.
 TEST(Scheduler, PostedEventsAreNeverCancelled) {
   Scheduler s;
   const Domain d = s.add_domain();
   int ran = 0;
+  Timer t(s, [] {}, d);
   for (int i = 0; i < 40; ++i) {
-    s.post_in(Time::ms(i), [&ran] { ++ran; }, d);
-    s.schedule_in(Time::ms(i), [] {}, d).cancel();
+    s.schedule_in(Time::ms(i), [&ran] { ++ran; }, d);
+    t.arm(Time::ms(i));
+    t.cancel();
   }
-  EXPECT_EQ(s.cancelled_events(), 40u);  // only the schedule_in events
+  EXPECT_EQ(s.cancelled_events(), 40u);  // only the timer's expiries
   EXPECT_EQ(s.live_events(), 40u);
   EXPECT_EQ(s.run(), 40u);
   EXPECT_EQ(ran, 40);
   EXPECT_EQ(s.cancelled_events(), 0u);
-  EXPECT_THROW(s.post_in(Time::zero() - Time::sec(1), [] {}, d), LogicError);
+  EXPECT_THROW(s.schedule_in(Time::zero() - Time::sec(1), [] {}, d),
+               LogicError);
 }
 
 // Differential against a single-queue reference (scheduler_differential.hpp):
