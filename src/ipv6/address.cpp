@@ -78,81 +78,6 @@ Address Address::from_bytes(BytesView bytes) {
   return a;
 }
 
-Address Address::from_prefix_iid(const Address& prefix_bits,
-                                 std::uint64_t iid) {
-  Address a = prefix_bits;
-  for (int i = 0; i < 8; ++i) {
-    a.b_[8 + i] = static_cast<std::uint8_t>(iid >> (8 * (7 - i)));
-  }
-  return a;
-}
-
-Address Address::from_halves(std::uint64_t high, std::uint64_t low) {
-  Address a;
-  for (int i = 0; i < 8; ++i) {
-    a.b_[i] = static_cast<std::uint8_t>(high >> (8 * (7 - i)));
-    a.b_[8 + i] = static_cast<std::uint8_t>(low >> (8 * (7 - i)));
-  }
-  return a;
-}
-
-// Parsed once: these sit on per-packet paths (e.g. the local-delivery check
-// against ff02::1), where re-parsing the literal showed up in profiles.
-Address Address::all_nodes() {
-  static const Address kAddr = parse("ff02::1");
-  return kAddr;
-}
-Address Address::all_routers() {
-  static const Address kAddr = parse("ff02::2");
-  return kAddr;
-}
-Address Address::all_pim_routers() {
-  static const Address kAddr = parse("ff02::d");
-  return kAddr;
-}
-Address Address::loopback() {
-  static const Address kAddr = parse("::1");
-  return kAddr;
-}
-
-bool Address::is_unspecified() const {
-  for (auto b : b_) {
-    if (b != 0) return false;
-  }
-  return true;
-}
-
-bool Address::is_loopback() const {
-  for (std::size_t i = 0; i < kBytes - 1; ++i) {
-    if (b_[i] != 0) return false;
-  }
-  return b_[kBytes - 1] == 1;
-}
-
-bool Address::is_multicast() const { return b_[0] == 0xff; }
-
-bool Address::is_link_local_unicast() const {
-  return b_[0] == 0xfe && (b_[1] & 0xc0) == 0x80;
-}
-
-std::uint8_t Address::multicast_scope() const { return b_[1] & 0x0f; }
-
-bool Address::is_link_scope_multicast() const {
-  return is_multicast() && multicast_scope() == 0x2;
-}
-
-std::uint64_t Address::high64() const {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | b_[i];
-  return v;
-}
-
-std::uint64_t Address::low64() const {
-  std::uint64_t v = 0;
-  for (int i = 8; i < 16; ++i) v = (v << 8) | b_[i];
-  return v;
-}
-
 void Address::write(BufferWriter& w) const { w.raw(BytesView(b_)); }
 
 Address Address::read(WireCursor& c) {
@@ -203,15 +128,14 @@ std::string Address::str() const {
   return out;
 }
 
-Prefix::Prefix(const Address& addr, std::uint8_t len) : net_(addr), len_(len) {
+Prefix::Prefix(const Address& addr, std::uint8_t len) : len_(len) {
   if (len > 128) throw ParseError("prefix length > 128");
   // Zero host bits for canonical comparison.
-  auto bytes = net_.bytes();
-  std::array<std::uint8_t, Address::kBytes> out = bytes;
-  for (std::size_t bit = len; bit < 128; ++bit) {
-    out[bit / 8] &= static_cast<std::uint8_t>(~(0x80u >> (bit % 8)));
-  }
-  net_ = Address::from_bytes(BytesView(out));
+  const auto keep = [](std::uint64_t w, int bits) {
+    return bits <= 0 ? 0 : bits >= 64 ? w : w & (~0ULL << (64 - bits));
+  };
+  net_ = Address::from_halves(keep(addr.high64(), len),
+                              keep(addr.low64(), len - 64));
 }
 
 Prefix Prefix::parse(const std::string& text) {
@@ -231,21 +155,6 @@ Prefix Prefix::parse(const std::string& text) {
   if (len > 128) throw ParseError("prefix length > 128: " + text);
   return Prefix(Address::parse(text.substr(0, slash)),
                 static_cast<std::uint8_t>(len));
-}
-
-bool Prefix::contains(const Address& a) const {
-  const auto& n = net_.bytes();
-  const auto& x = a.bytes();
-  std::size_t full = len_ / 8;
-  for (std::size_t i = 0; i < full; ++i) {
-    if (n[i] != x[i]) return false;
-  }
-  std::size_t rem = len_ % 8;
-  if (rem != 0) {
-    std::uint8_t mask = static_cast<std::uint8_t>(0xff00u >> rem);
-    if ((n[full] & mask) != (x[full] & mask)) return false;
-  }
-  return true;
 }
 
 std::string Prefix::str() const {
