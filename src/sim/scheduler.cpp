@@ -84,18 +84,65 @@ std::uint64_t Scheduler::next_emit_seq() {
 
 // --- SubQueue ---------------------------------------------------------------
 
-std::vector<Scheduler::HeapEntry>* Scheduler::SubQueue::front_heap() {
-  if (timers.empty()) return deliveries.empty() ? nullptr : &deliveries;
-  if (deliveries.empty() || timers.front().key < deliveries.front().key) {
-    return &timers;
+Scheduler::SubQueue::Source Scheduler::SubQueue::front(
+    const HeapEntry*& top) {
+  Source from = Source::kNone;
+  top = nullptr;
+  if (!timers.empty()) {
+    top = &timers.front();
+    from = Source::kTimers;
   }
-  return &deliveries;
+  if (!deliveries.empty() &&
+      (top == nullptr || deliveries.front().key < top->key)) {
+    top = &deliveries.front();
+    from = Source::kDeliveries;
+  }
+  // A lane run later than the best heap top loses whatever its order, so
+  // it is sorted only once it is due.
+  if (!lane.empty() &&
+      (top == nullptr || !(top->key.at < lane[lane_head].key.at))) {
+    const HeapEntry& first = lane_front();
+    if (top == nullptr || first.key < top->key) {
+      top = &first;
+      from = Source::kLane;
+    }
+  }
+  return from;
 }
 
-Scheduler::HeapEntry Scheduler::SubQueue::pop(std::vector<HeapEntry>& heap) {
+const Scheduler::HeapEntry& Scheduler::SubQueue::lane_front() {
+  if (lane_head == lane_run_end) {
+    const Time at = lane[lane_head].key.at;
+    std::size_t end = lane_head + 1;
+    while (end < lane.size() && lane[end].key.at == at) ++end;
+    std::sort(lane.begin() + static_cast<std::ptrdiff_t>(lane_head),
+              lane.begin() + static_cast<std::ptrdiff_t>(end), Earlier{});
+    lane_run_end = end;
+  }
+  return lane[lane_head];
+}
+
+Scheduler::HeapEntry Scheduler::SubQueue::pop_top(
+    std::vector<HeapEntry>& heap) {
   std::pop_heap(heap.begin(), heap.end(), Later{});
   const HeapEntry entry = heap.back();
   heap.pop_back();
+  return entry;
+}
+
+Scheduler::HeapEntry Scheduler::SubQueue::pop(Source from) {
+  if (from == Source::kTimers) return pop_top(timers);
+  if (from == Source::kDeliveries) return pop_top(deliveries);
+  const HeapEntry entry = lane[lane_head++];
+  if (lane_head == lane.size()) {
+    lane.clear();
+    lane_head = lane_run_end = 0;
+  } else if (lane_head >= 32 && lane_head * 2 >= lane.size()) {
+    lane.erase(lane.begin(),
+               lane.begin() + static_cast<std::ptrdiff_t>(lane_head));
+    lane_run_end -= lane_head;
+    lane_head = 0;
+  }
   return entry;
 }
 
@@ -104,20 +151,49 @@ EventKey Scheduler::SubQueue::min_key() {
   // never keys off a dead event. Deliveries are never cancelled.
   while (!timers.empty() && slots[timers.front().slot].cancelled) {
     --cancelled;
-    release_slot(pop(timers).slot);
+    release_slot(pop_top(timers).slot);
   }
-  const std::vector<HeapEntry>* heap = front_heap();
-  if (heap == nullptr) return EventKey{Time::never(), Time::never(), 0, 0};
-  return heap->front().key;
+  const HeapEntry* top;
+  if (front(top) == Source::kNone) {
+    return EventKey{Time::never(), Time::never(), 0, 0};
+  }
+  return top->key;
 }
 
 void Scheduler::SubQueue::push(const EventKey& key, SchedFn&& fn, Domain exec,
                                TimerSlot* timer) {
-  std::vector<HeapEntry>& heap = timer != nullptr ? timers : deliveries;
   const std::uint32_t slot = acquire_slot(std::move(fn), timer, exec);
-  heap.push_back(HeapEntry{key, slot});
-  std::push_heap(heap.begin(), heap.end(), Later{});
-  if (timer != nullptr) *timer = TimerSlot{this, slot};
+  if (timer != nullptr) {
+    timers.push_back(HeapEntry{key, slot});
+    std::push_heap(timers.begin(), timers.end(), Later{});
+    *timer = TimerSlot{this, slot};
+    return;
+  }
+  const Time delay = key.at - key.ptime;
+  if (lane_delay == Time::zero()) lane_delay = delay;
+  if (delay == lane_delay && delay > Time::zero() &&
+      (lane.empty() || !(key.at < lane.back().key.at))) {
+    push_lane(HeapEntry{key, slot});
+    return;
+  }
+  deliveries.push_back(HeapEntry{key, slot});
+  std::push_heap(deliveries.begin(), deliveries.end(), Later{});
+}
+
+void Scheduler::SubQueue::push_lane(const HeapEntry& entry) {
+  // Joining the front run after it was sorted (a barrier drained a
+  // same-instant delivery into a run already looked at): insert in order.
+  const bool into_sorted = lane_run_end > lane_head &&
+                           lane_run_end == lane.size() &&
+                           entry.key.at == lane.back().key.at;
+  lane.push_back(entry);
+  if (into_sorted) {
+    const auto first = lane.begin() + static_cast<std::ptrdiff_t>(lane_head);
+    const auto last = lane.end() - 1;
+    std::rotate(std::upper_bound(first, last, entry, Earlier{}), last,
+                lane.end());
+    ++lane_run_end;
+  }
 }
 
 std::uint32_t Scheduler::SubQueue::acquire_slot(SchedFn&& fn, TimerSlot* timer,
@@ -284,9 +360,11 @@ std::uint64_t Scheduler::run_shard_before(SubQueue& sub, int shard, Time end) {
   ExecCtx saved = tls_;
   tls_ = ExecCtx{this, &sub, shard, kWorldDomain, nullptr};
   std::uint64_t n = 0;
-  while (std::vector<HeapEntry>* heap = sub.front_heap()) {
-    if (heap->front().key.at >= end) break;
-    const HeapEntry entry = SubQueue::pop(*heap);
+  const HeapEntry* top;
+  for (;;) {
+    const SubQueue::Source from = sub.front(top);
+    if (from == SubQueue::Source::kNone || top->key.at >= end) break;
+    const HeapEntry entry = sub.pop(from);
     execute_entry(sub, shard, entry, n);
   }
   tls_ = saved;
@@ -318,7 +396,8 @@ std::uint64_t Scheduler::run_instant(Time ts) {
       }
     }
     if (best == nullptr || best_key.at != ts) break;
-    const HeapEntry entry = SubQueue::pop(*best->front_heap());
+    const HeapEntry* top;
+    const HeapEntry entry = best->pop(best->front(top));
     // shard = -1: trace/counter writes go straight to the merged stores.
     execute_entry(*best, -1, entry, n);
     tls_.key = nullptr;
@@ -428,6 +507,11 @@ void Scheduler::migrate_all_to(const std::vector<std::uint32_t>& new_map,
   for (auto& old : subs_) {
     executed += old->executed;
     compactions += old->compactions;
+    // Lane entries land in the delivery heap of their new sub-queue.
+    old->deliveries.insert(
+        old->deliveries.end(),
+        old->lane.begin() + static_cast<std::ptrdiff_t>(old->lane_head),
+        old->lane.end());
     for (const auto* heap : {&old->timers, &old->deliveries}) {
       for (const HeapEntry& entry : *heap) {
         Event& ev = old->slots[entry.slot];

@@ -226,6 +226,11 @@ class Scheduler {
       return b.key < a.key;
     }
   };
+  struct Earlier {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      return a.key < b.key;
+    }
+  };
   /// A cross-shard event staged in the sender's outbox until the barrier.
   struct Staged {
     EventKey key;
@@ -234,10 +239,26 @@ class Scheduler {
   };
 
   struct SubQueue {
+    /// Where the earliest entry sits; see front().
+    enum class Source : std::uint8_t { kNone, kTimers, kDeliveries, kLane };
+
     /// Binary heaps ordered by Later, both over `slots`: Timer expiries,
-    /// and every other event. Only `timers` can hold cancelled entries.
+    /// and the other events the lane does not take. Only `timers` can hold
+    /// cancelled entries.
     std::vector<HeapEntry> timers;
     std::vector<HeapEntry> deliveries;
+    /// The delivery lane: non-timer events whose delay (at - ptime) is
+    /// `lane_delay` and whose `at` is not earlier than the lane's last
+    /// entry, in push order. `at` never decreases along it, so it is a FIFO
+    /// of runs of equal `at`; lane[lane_head, lane_run_end) is the rest of
+    /// the front run, sorted by key when it was first needed. The lane is
+    /// cleared whenever it empties and shifted down once its consumed head
+    /// is half of it, so its capacity follows the deliveries in flight.
+    std::vector<HeapEntry> lane;
+    std::size_t lane_head = 0;
+    std::size_t lane_run_end = 0;
+    /// The first positive delay a non-timer push had (zero until then).
+    Time lane_delay = Time::zero();
     std::vector<Event> slots;
     std::vector<std::uint32_t> free_slots;
     /// Cancelled entries still in `timers`.
@@ -249,11 +270,14 @@ class Scheduler {
     std::uint64_t compactions = 0;
     std::uint64_t emit_seq = 0;
 
-    std::size_t size() const { return timers.size() + deliveries.size(); }
-    /// The heap whose top is the earliest entry, or null when both are
-    /// empty. Keys are unique, so popping it gives the one-heap order.
-    std::vector<HeapEntry>* front_heap();
-    static HeapEntry pop(std::vector<HeapEntry>& heap);
+    std::size_t size() const {
+      return timers.size() + deliveries.size() + (lane.size() - lane_head);
+    }
+    /// The least of the two heap tops and the lane front, or kNone when all
+    /// three are empty; `top` points at it. Keys are unique, so popping it
+    /// gives the one-heap order.
+    Source front(const HeapEntry*& top);
+    HeapEntry pop(Source from);
     /// Key of the earliest live entry, or at == never() when empty.
     EventKey min_key();
     /// Queues an event; a `timer` puts it in the timer heap and records
@@ -263,6 +287,10 @@ class Scheduler {
     std::uint32_t acquire_slot(SchedFn&& fn, TimerSlot* timer, Domain exec);
     void release_slot(std::uint32_t slot);
     void maybe_compact();
+    static HeapEntry pop_top(std::vector<HeapEntry>& heap);
+    void push_lane(const HeapEntry& entry);
+    /// The lane's earliest entry; sorts the front run on first use.
+    const HeapEntry& lane_front();
   };
 
   /// Per-thread execution context (what current_shard_slot()/now() read).
