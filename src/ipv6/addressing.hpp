@@ -12,6 +12,7 @@
 
 #include <map>
 #include <optional>
+#include <unordered_map>
 
 #include "ipv6/address.hpp"
 #include "net/link.hpp"
@@ -42,7 +43,9 @@ class AddressingPlan {
     return it->second;
   }
 
-  /// The link whose prefix contains `a`, if any.
+  /// The link whose prefix contains `a`, if any; the lowest LinkId when
+  /// several do. A plan of /64 prefixes only answers from an index of
+  /// their networks; any other prefix length falls back to a scan.
   std::optional<LinkId> link_of(const Address& a) const;
 
   /// Deterministic interface identifier for a node (EUI-64 stand-in).
@@ -52,6 +55,10 @@ class AddressingPlan {
 
  private:
   std::map<LinkId, Prefix> prefixes_;
+  /// /64 network (high64) -> lowest LinkId with that prefix.
+  std::unordered_map<std::uint64_t, LinkId> by_net64_;
+  /// Links whose prefix is not a /64.
+  std::size_t other_lengths_ = 0;
   std::map<LinkId, Address> default_routers_;
   std::map<LinkId, Address> mcast_proxies_;
 };

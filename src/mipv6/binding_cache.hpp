@@ -49,7 +49,14 @@ class BindingCache {
   const Entry* find(const Address& home) const;
   Entry* find(const Address& home);
   std::size_t size() const { return entries_.size(); }
+  /// A snapshot in home-address order, for callers that mutate the cache.
   std::vector<const Entry*> entries() const;
+  /// Calls fn(entry) for every binding in home-address order, in place;
+  /// `fn` must not add or remove bindings.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& [home, entry] : entries_) fn(*entry);
+  }
 
   void set_expiry_callback(ExpiryCallback cb) { on_expiry_ = std::move(cb); }
 

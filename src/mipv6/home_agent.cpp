@@ -20,7 +20,13 @@ constexpr Time kTunnelMembershipLifetime = Time::sec(260);
 HomeAgent::HomeAgent(Ipv6Stack& stack, DenseModeEngine& dense,
                      Mipv6Config config)
     : stack_(&stack), component_("ha/" + stack.node().name()), dense_(&dense),
-      config_(config), cache_(stack.scheduler()) {
+      config_(config), cache_(stack.scheduler()),
+      c_tunnel_bytes_(stack.network().counters().cell("ha/tunnel-bytes")),
+      c_encap_multicast_(
+          stack.network().counters().cell("ha/encap-multicast")),
+      c_decap_(stack.network().counters().cell("ha/decap")),
+      c_decap_multicast_(
+          stack.network().counters().cell("ha/decap-multicast")) {
   stack.set_option_handler(
       opt::kBindingUpdate,
       [this](const DestOption& o, const ParsedDatagram& d, IfaceId) {
@@ -269,30 +275,33 @@ void HomeAgent::on_group_delivery(const ParsedDatagram& d, const Packet& pkt) {
   if (!enabled_) return;
   const Address& group = d.hdr.dst;
   if (!group_refs_.contains(group)) return;
-  for (const BindingCache::Entry* e : cache_.entries()) {
+  // In place: the sends below schedule link transmissions, and the
+  // mcast-mobility relay re-enters receive_as_if with an encapsulated
+  // datagram that carries no Binding Update, so no binding comes or goes.
+  cache_.for_each([&](const BindingCache::Entry& e) {
     bool in_bu_list =
-        std::find(e->groups.begin(), e->groups.end(), group) != e->groups.end();
-    bool in_tunnel_mld = tunnel_memberships_.contains({e->home, group});
-    if (!in_bu_list && !in_tunnel_mld) continue;
-    if (!e->mcast_care_of.is_unspecified()) {
+        std::find(e.groups.begin(), e.groups.end(), group) != e.groups.end();
+    bool in_tunnel_mld = tunnel_memberships_.contains({e.home, group});
+    if (!in_bu_list && !in_tunnel_mld) return;
+    if (!e.mcast_care_of.is_unspecified()) {
       // mcast-mobility: relay into the MN's reachability group G_mn; the
       // dense-mode tree rooted here delivers to whichever access routers
       // have joined on the MN's behalf.
       count("ha/encap-mcast-coa");
       trace_event("relay-mcast-coa", [&] {
-        return "group=" + group.str() + " home=" + e->home.str() + " gmn=" +
-               e->mcast_care_of.str();
+        return "group=" + group.str() + " home=" + e.home.str() + " gmn=" +
+               e.mcast_care_of.str();
       });
-      relay_to_mcast_care_of(e->home, e->mcast_care_of, pkt.view());
-      continue;
+      relay_to_mcast_care_of(e.home, e.mcast_care_of, pkt.view());
+      return;
     }
-    count("ha/encap-multicast");
+    c_encap_multicast_.add();
     trace_event("tunnel-multicast", [&] {
-      return "group=" + group.str() + " home=" + e->home.str() + " coa=" +
-             e->care_of.str();
+      return "group=" + group.str() + " home=" + e.home.str() + " coa=" +
+             e.care_of.str();
     });
-    tunnel_to(e->home, e->care_of, pkt.view());
-  }
+    tunnel_to(e.home, e.care_of, pkt.view());
+  });
 }
 
 void HomeAgent::on_tunneled(const ParsedDatagram& outer) {
@@ -315,7 +324,7 @@ void HomeAgent::on_tunneled(const ParsedDatagram& outer) {
   // Every path below hands on this one buffer and its parse.
   const Packet& inner = decap.value().packet;
   const ParsedDatagram& in = decap.value().datagram;
-  count("ha/decap");
+  c_decap_.add();
   trace_event("decap", [&] {
     return "src=" + in.hdr.src.str() + " dst=" + in.hdr.dst.str();
   });
@@ -355,7 +364,7 @@ void HomeAgent::on_tunneled(const ParsedDatagram& outer) {
     // Reverse-tunneled multicast from a mobile sender: re-originate on the
     // home link (paper Figure 4) and run it through our own forwarding
     // plane so the source-rooted tree rooted at the home link is used.
-    count("ha/decap-multicast");
+    c_decap_multicast_.add();
     auto hi = iface_for_home(in.hdr.src);
     if (!hi) {
       count("ha/drop/unknown-home-link");
@@ -396,7 +405,7 @@ void HomeAgent::tunnel_to(const Address& home, const Address& care_of,
   }
   Address src = stack_->global_address(*hi);
   Bytes outer = encapsulate(inner, src, care_of);
-  stack_->network().counters().add("ha/tunnel-bytes", outer.size());
+  c_tunnel_bytes_.add(outer.size());
   stack_->send_raw(Packet(std::move(outer)));
 }
 
@@ -413,7 +422,7 @@ void HomeAgent::relay_to_mcast_care_of(const Address& home,
   // run it through our own forwarding plane so downstream routers flood it.
   const Packet outer(
       encapsulate(inner, stack_->global_address(*hi), group_coa));
-  stack_->network().counters().add("ha/tunnel-bytes", outer.size());
+  c_tunnel_bytes_.add(outer.size());
   stack_->send_raw_on_iface(*hi, outer);
   stack_->receive_as_if(*hi, outer);
 }

@@ -129,6 +129,11 @@ class HomeAgent : public ProtocolModule {
   std::map<Address, int> group_refs_;
   BindingChangeCallback on_binding_change_;
   bool enabled_ = true;
+  // Data-path counters, resolved once (docs/PERF.md rule 4).
+  CounterCell c_tunnel_bytes_;
+  CounterCell c_encap_multicast_;
+  CounterCell c_decap_;
+  CounterCell c_decap_multicast_;
 };
 
 }  // namespace mip6

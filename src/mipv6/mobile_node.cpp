@@ -10,7 +10,10 @@ namespace mip6 {
 MobileNode::MobileNode(Ipv6Stack& stack, IfaceId iface, Address home_address,
                        Address home_agent, Mipv6Config config)
     : stack_(&stack), iface_(iface), home_address_(home_address),
-      home_agent_(home_agent), config_(config) {
+      home_agent_(home_agent), config_(config),
+      c_decap_(stack.network().counters().cell("mn/decap")),
+      c_encap_(stack.network().counters().cell("mn/encap")),
+      c_tunnel_bytes_(stack.network().counters().cell("mn/tunnel-bytes")) {
   // The home address belongs to the MN permanently.
   stack.add_address(iface, home_address, /*pinned=*/true);
 
@@ -57,7 +60,7 @@ MobileNode::MobileNode(Ipv6Stack& stack, IfaceId iface, Address home_address,
           note_parse_reject(stack_->network(), "mipv6", inner.failure());
           return;
         }
-        count("mn/decap");
+        c_decap_.add();
         stack_->receive_as_if(rx_iface, inner.value().datagram,
                               inner.value().packet);
       });
@@ -235,8 +238,8 @@ void MobileNode::on_binding_ack(const BindingAckOption& ack) {
 
 bool MobileNode::tunnel_to_ha(Bytes inner) {
   Bytes outer = encapsulate(inner, current_source(), home_agent_);
-  stack_->network().counters().add("mn/tunnel-bytes", outer.size());
-  count("mn/encap");
+  c_tunnel_bytes_.add(outer.size());
+  c_encap_.add();
   return stack_->send_raw(Packet(std::move(outer)));
 }
 

@@ -154,6 +154,10 @@ class MobileNode : public ProtocolModule {
 
   std::function<void()> on_attached_;
   std::function<void()> on_link_change_;
+  // Data-path counters, resolved once (docs/PERF.md rule 4).
+  CounterCell c_decap_;
+  CounterCell c_encap_;
+  CounterCell c_tunnel_bytes_;
 };
 
 }  // namespace mip6
