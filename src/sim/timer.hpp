@@ -48,7 +48,14 @@ class Timer {
 
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
-  ~Timer() { cancel(); }
+  ~Timer() {
+    // Destroyed by its own expiry handler: the handler keeps running from
+    // the moved-out copy, which must not be moved back.
+    if (Firing::current != nullptr && Firing::current->timer == this) {
+      Firing::current->timer = nullptr;
+    }
+    cancel();
+  }
 
   /// Rebinds the expiry's execution domain (kWorldDomain = structural).
   void bind_domain(Domain d) { domain_ = d; }
@@ -104,13 +111,34 @@ class Timer {
       return;
     }
     expiry_ = Time::never();
-    // Invoke through a copy: expiry handlers routinely destroy the state
-    // that owns this Timer (listener entries, (S,G) entries, neighbor
-    // records erase themselves), and destroying a std::function during its
-    // own invocation is undefined behaviour.
-    auto fn = on_expire_;
-    fn();
+    // Expiry handlers routinely destroy the state that owns this Timer
+    // (listener entries, (S,G) entries, neighbor records erase themselves),
+    // and destroying a std::function during its own invocation is undefined
+    // behaviour. So the handler is moved out for the call, which allocates
+    // nothing however large its captures, and back in if the Timer lives.
+    Firing firing(*this);
+    firing.fn();
   }
+
+  /// The expiry handler this thread is running, moved out of its Timer.
+  /// Handlers run one at a time per thread; `outer` restores the previous
+  /// one should a handler ever run another scheduler's events.
+  struct Firing {
+    explicit Firing(Timer& t)
+        : timer(&t), fn(std::move(t.on_expire_)),
+          outer(std::exchange(current, this)) {}
+    ~Firing() {
+      current = outer;
+      if (timer != nullptr) timer->on_expire_ = std::move(fn);
+    }
+    Firing(const Firing&) = delete;
+    Firing& operator=(const Firing&) = delete;
+
+    Timer* timer;  // null once the handler has destroyed its Timer
+    std::function<void()> fn;
+    Firing* outer;
+    static inline thread_local Firing* current = nullptr;
+  };
 
   Scheduler* sched_;
   Domain domain_;
