@@ -73,6 +73,42 @@ TEST(BarrierDifferential, ShardedSubQueuesMatchSingleQueueReference) {
   }
 }
 
+// The same with link-shaped traffic (Mix::kLinks): each shard's delivery
+// lane also takes the cross-shard deliveries its barrier drains, and joins
+// a drained delivery to a run it has already sorted.
+TEST(BarrierDifferential, DeliveryLaneShardsMatchSingleQueueReference) {
+  using namespace difftest;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Scheduler sched;
+    RefScheduler ref;
+    Program<Scheduler> real(sched, seed, 1500, /*global_log=*/false,
+                            Mix::kLinks);
+    Program<RefScheduler> model(ref, seed, 1500, /*global_log=*/false,
+                                Mix::kLinks);
+    real.start();
+    model.start();
+    sched.configure_shards({kS, 0, 0, 1, 1}, 2, kLookahead);
+    drive(sched, real, ref, model, [&](int step) {
+      ASSERT_EQ(sched.live_events(), ref.live_events());
+      if (step == kSteps / 3) sched.configure_serial();
+      if (step == 2 * kSteps / 3) {
+        sched.configure_shards({kS, 1, 0, 1, 0}, 2, kLookahead);
+      }
+    });
+    EXPECT_GT(sched.windows(), 0u);
+    EXPECT_GT(sched.structural_instants(), 0u);
+    for (Domain d = 0; d <= kNodeDomains; ++d) {
+      SCOPED_TRACE("domain " + std::to_string(d));
+      EXPECT_EQ(first_difference(real.per_domain[d], model.per_domain[d]),
+                -1);
+    }
+    EXPECT_EQ(sched.executed_events(), ref.executed_events());
+    EXPECT_EQ(sched.live_events(), 0u);
+    EXPECT_GT(log_stats(real.per_domain).multi_domain_runs, 50u);
+  }
+}
+
 // Three node domains tick on self-rearming timers and write counters:
 // pre-resolved cells (zero deltas included), a cell that only ever gets
 // zero, named counters the base store has never seen, and a cell

@@ -11,11 +11,14 @@
 //    buffer. That holds for any number of timers expiring before they are
 //    re-armed;
 //  * so do Timer::extend -> wake-up -> reschedule -> expire cycles and
-//    plain Scheduler::schedule_in events;
+//    plain Scheduler::schedule_in events, in the delivery lane or not, and
+//    expiries of handlers too large for std::function's inline buffer
+//    (the handler is moved out for the call, not copied);
 //  * Trace::emit with no sink installed allocates nothing — detail strings
 //    are built lazily, only when a sink will consume them.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -165,6 +168,68 @@ TEST(AllocGuard, PostedEventsDoNotAllocateAtSteadyState) {
   EXPECT_EQ(ran, 8u * 10256u);
 }
 
+// Protocol timers capture more than std::function's 16-byte inline buffer
+// (PIM-DM's [this, key] with a 32-byte (S,G) key, the MLD host's
+// [this, iface, group]). Expiring one must not copy the handler.
+TEST(AllocGuard, LargeCaptureExpiriesDoNotAllocate) {
+  Scheduler sched;
+  std::uint64_t sum = 0;
+  const std::array<std::uint64_t, 4> payload{1, 2, 3, 4};
+  auto handler = [&sum, payload] { sum += payload[0] + payload[3]; };
+  static_assert(sizeof(handler) == 40);
+  Timer timer(sched, handler);
+  for (int i = 0; i < 16; ++i) {
+    timer.arm(Time::ms(1));
+    sched.run_until(sched.now() + Time::ms(2));
+  }
+
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 1000; ++i) {
+    timer.arm(Time::ms(1));
+    sched.run_until(sched.now() + Time::ms(2));
+  }
+  EXPECT_EQ(allocations() - before, 0u)
+      << "expiring a timer with a large capture allocated";
+  EXPECT_EQ(sum, 5u * 1016u);
+}
+
+// Frames forwarded hop by hop: every hop re-sends 100 us later from its own
+// domain, so one instant's sends form one run of the delivery lane, and the
+// lane never empties. A second, 37 us delay keeps the delivery heap busy
+// beside it. Once the lane and heaps have grown to the frames in flight,
+// nothing allocates.
+TEST(AllocGuard, DeliveryLaneSteadyStateDoesNotAllocate) {
+  struct Relay {
+    Scheduler sched;
+    std::vector<Domain> domains;
+    std::uint64_t hops = 0;
+
+    void hop(std::size_t at, Time delay) {
+      ++hops;
+      const std::size_t next = (at + 1) % domains.size();
+      sched.schedule_in(delay, [this, next, delay] { hop(next, delay); },
+                        domains[next]);
+    }
+  };
+  Relay relay;
+  for (int i = 0; i < 4; ++i) relay.domains.push_back(relay.sched.add_domain());
+  for (std::size_t k = 0; k < 24; ++k) {
+    const Time delay = k % 6 == 5 ? Time::us(37) : Time::us(100);
+    relay.sched.schedule_in(
+        delay, [&relay, k, delay] { relay.hop(k % 4, delay); },
+        relay.domains[k % 4]);
+  }
+  relay.sched.run_until(Time::ms(50));
+
+  const std::uint64_t before = allocations();
+  const std::uint64_t hops_before = relay.hops;
+  relay.sched.run_until(Time::ms(250));
+  EXPECT_EQ(allocations() - before, 0u)
+      << "steady-state deliveries allocated";
+  // 20 frames every 100 us and 4 every 37 us.
+  EXPECT_GT(relay.hops - hops_before, 60000u);
+}
+
 TEST(AllocGuard, DisabledTraceEmitDoesNotAllocate) {
   Trace trace;
   ASSERT_FALSE(trace.enabled());
@@ -189,11 +254,8 @@ TEST(AllocGuard, DisabledTraceEmitDoesNotAllocate) {
 struct ShardedFixture {
   Scheduler sched;
   Domain d1, d2;
-  // The timer handlers capture only `this` so they stay inside
-  // std::function's inline buffer: Timer::arm copies the handler per arm,
-  // and a spilled handler would charge one heap allocation to every fire,
-  // drowning the signal these guards are after. The test bodies live in
-  // these out-of-line functions instead.
+  // The test bodies live in these out-of-line functions, which the timer
+  // handlers call.
   std::function<void()> body1, body2;
   std::unique_ptr<Timer> t1, t2;
   std::atomic<std::uint64_t> fired{0};

@@ -10,6 +10,12 @@
 // program is legal at any shard count.
 // Node domains schedule into other domains at least kLookahead ahead and
 // never into the world domain, which sharded execution requires.
+//
+// Mix::kLinks shapes the deliveries like link traffic, for the delivery
+// lane: most go kLinkDelay ahead (so chains from many domains land on one
+// instant and form multi-domain runs), some kLinkDelay2 ahead (a second
+// delay, which the lane refuses), some jittered, and some with zero delay
+// into the instant being consumed; a burst action sends several at once.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +33,11 @@ namespace mip6::difftest {
 
 inline constexpr Domain kNodeDomains = 4;
 inline constexpr Time kLookahead = Time::us(10);
+inline constexpr Time kLinkDelay = kLookahead;
+inline constexpr Time kLinkDelay2 = kLookahead + Time::us(7);
+
+/// How the program picks delivery delays; see the file comment.
+enum class Mix { kJitter, kLinks };
 
 struct Exec {
   EventKey key;
@@ -195,8 +206,9 @@ class Program {
 
   /// `budget` bounds the actions each domain takes; `global_log` also
   /// records the interleaved sequence (single-threaded runs only).
-  Program(Sched& sched, std::uint64_t seed, int budget, bool global_log)
-      : sched_(sched), global_log_(global_log) {
+  Program(Sched& sched, std::uint64_t seed, int budget, bool global_log,
+          Mix mix = Mix::kJitter)
+      : sched_(sched), global_log_(global_log), mix_(mix) {
     lps_.resize(kNodeDomains + 1);
     for (Domain d = 1; d <= kNodeDomains; ++d) {
       if (sched_.add_domain() != d) throw LogicError("domain ids");
@@ -257,6 +269,7 @@ class Program {
 
   // Where a new event may go from domain d, and how far ahead.
   Domain pick_target(Domain d, Rng& rng, Time& delay) {
+    if (mix_ == Mix::kLinks) return pick_link_target(d, rng, delay);
     const auto jitter = static_cast<std::int64_t>(rng.uniform_int(kMaxDelayUs));
     if (d == kWorldDomain) {
       delay = Time::us(jitter);
@@ -270,9 +283,34 @@ class Program {
     return 1 + static_cast<Domain>(rng.uniform_int(kNodeDomains));
   }
 
+  // Mix::kLinks: mostly kLinkDelay, to any domain the rules allow.
+  Domain pick_link_target(Domain d, Rng& rng, Time& delay) {
+    const std::uint64_t r = rng.uniform_int(20);
+    delay = r < 12   ? kLinkDelay
+            : r < 15 ? kLinkDelay2
+            : r < 18 ? kLookahead + Time::us(static_cast<std::int64_t>(
+                                        rng.uniform_int(kMaxDelayUs)))
+                     : Time::zero();
+    if (d == kWorldDomain) {
+      return static_cast<Domain>(rng.uniform_int(kNodeDomains + 1));
+    }
+    // Zero delay only into the own domain: the instant being consumed.
+    if (delay == Time::zero() || rng.bernoulli(0.3)) return d;
+    return 1 + static_cast<Domain>(rng.uniform_int(kNodeDomains));
+  }
+
   void act(Domain d) {
     Lp& lp = lps_[d];
     Rng& rng = *lp.rng;
+    if (mix_ == Mix::kLinks && rng.bernoulli(0.2)) {
+      // A burst: one event's several sends, as a router floods a frame.
+      for (std::uint64_t k = 2 + rng.uniform_int(5); k > 0; --k) {
+        if (lp.budget-- <= 0) return;
+        Time delay;
+        const Domain to = pick_link_target(d, rng, delay);
+        sched_.schedule_in(delay, [this, to] { fire(to); }, to);
+      }
+    }
     for (std::uint64_t k = 1 + rng.uniform_int(2); k > 0; --k) {
       if (lp.budget-- <= 0) return;
       Time delay;
@@ -319,8 +357,41 @@ class Program {
 
   Sched& sched_;
   bool global_log_;
+  Mix mix_;
   std::vector<Lp> lps_;
 };
+
+/// Shape of an executed log, so a test can show its program exercised the
+/// cases it is after.
+struct LogStats {
+  std::size_t multi_domain_runs = 0;  // instants with kLinkDelay deliveries
+                                      // from 3 or more domains
+  std::size_t second_delay = 0;       // kLinkDelay2 deliveries
+  std::size_t zero_delay = 0;         // deliveries scheduled for their own
+                                      // instant
+};
+
+inline LogStats log_stats(const std::vector<std::vector<Exec>>& per_domain) {
+  LogStats st;
+  std::map<Time, std::vector<bool>> link_senders;
+  for (const auto& log : per_domain) {
+    for (const Exec& e : log) {
+      const Time delay = e.key.at - e.key.ptime;
+      if (delay == kLinkDelay) {
+        auto& senders = link_senders[e.key.at];
+        senders.resize(kNodeDomains + 1);
+        senders[e.key.pdomain] = true;
+      }
+      st.second_delay += delay == kLinkDelay2;
+      st.zero_delay += delay == Time::zero();
+    }
+  }
+  for (const auto& [at, senders] : link_senders) {
+    st.multi_domain_runs +=
+        std::count(senders.begin(), senders.end(), true) >= 3;
+  }
+  return st;
+}
 
 /// Index of the first entry where the logs differ (the shorter length if
 /// one is a prefix of the other), or -1 when they are equal.

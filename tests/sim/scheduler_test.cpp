@@ -278,5 +278,69 @@ TEST(SchedulerDifferential, TwoHeapsPopInSingleQueueOrder) {
   }
 }
 
+// The delivery lane against the same reference, with link-shaped traffic
+// (scheduler_differential.hpp, Mix::kLinks): equal-delay bursts from many
+// domains at one instant, a second delay, jittered delays and zero-delay
+// schedules into the instant being consumed.
+TEST(SchedulerDifferential, DeliveryLanePopsInSingleQueueOrder) {
+  using namespace difftest;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Scheduler sched;
+    RefScheduler ref;
+    Program<Scheduler> real(sched, seed, 1500, /*global_log=*/true,
+                            Mix::kLinks);
+    Program<RefScheduler> model(ref, seed, 1500, /*global_log=*/true,
+                                Mix::kLinks);
+    real.start();
+    model.start();
+    drive(sched, real, ref, model, [&](int) {
+      ASSERT_EQ(sched.live_events(), ref.live_events());
+      EXPECT_EQ(sched.live_events() + sched.cancelled_events(),
+                sched.pending_events());
+    });
+    EXPECT_EQ(first_difference(real.global, model.global), -1);
+    EXPECT_EQ(sched.executed_events(), ref.executed_events());
+    EXPECT_EQ(sched.live_events(), 0u);
+    const LogStats st = log_stats(real.per_domain);
+    EXPECT_GT(st.multi_domain_runs, 50u);
+    EXPECT_GT(st.second_delay, 300u);
+    EXPECT_GT(st.zero_delay, 150u);
+  }
+}
+
+// Serial, then two shards, then serial again, in the middle of a run: the
+// lane's entries migrate into the new sub-queues' delivery heaps and back.
+TEST(SchedulerDifferential, SerialShardedSerialMigrationMidRun) {
+  using namespace difftest;
+  constexpr std::uint32_t kS = Scheduler::kStructuralShard;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Scheduler sched;
+    RefScheduler ref;
+    Program<Scheduler> real(sched, seed, 1500, /*global_log=*/false,
+                            Mix::kLinks);
+    Program<RefScheduler> model(ref, seed, 1500, /*global_log=*/false,
+                                Mix::kLinks);
+    real.start();
+    model.start();
+    drive(sched, real, ref, model, [&](int step) {
+      ASSERT_EQ(sched.live_events(), ref.live_events());
+      if (step == kSteps / 3) {
+        sched.configure_shards({kS, 0, 1, 0, 1}, 2, kLookahead);
+      }
+      if (step == 2 * kSteps / 3) sched.configure_serial();
+    });
+    EXPECT_GT(sched.windows(), 0u);
+    for (Domain d = 0; d <= kNodeDomains; ++d) {
+      SCOPED_TRACE("domain " + std::to_string(d));
+      EXPECT_EQ(first_difference(real.per_domain[d], model.per_domain[d]),
+                -1);
+    }
+    EXPECT_EQ(sched.executed_events(), ref.executed_events());
+    EXPECT_EQ(sched.live_events(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace mip6

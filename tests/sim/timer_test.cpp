@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -99,6 +101,41 @@ TEST(Timer, DestructorCancels) {
   }
   s.run();
   EXPECT_EQ(fired, 0);
+}
+
+// Expiry handlers erase the state that owns their Timer (listener entries,
+// (S,G) entries, neighbor records). The handler below destroys its own
+// Timer and then reads its captures, which must still be alive; under ASan
+// (par-smoke-asan) a handler destroyed mid-call shows as a use after free.
+TEST(Timer, HandlerMayDestroyItsOwnTimer) {
+  Scheduler s;
+  std::vector<std::string> log;
+  std::unique_ptr<Timer> owner;
+  const std::string tag(40, 'x');  // too large for an inline std::function
+  owner = std::make_unique<Timer>(s, [&owner, &log, &s, tag] {
+    owner.reset();
+    log.push_back(tag + "@" + s.now().str());
+  });
+  owner->arm(Time::sec(1));
+  s.run();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], tag + "@" + Time::sec(1).str());
+  EXPECT_EQ(owner, nullptr);
+
+  // A survivor keeps its handler: it fires again after the call, and a
+  // Timer destroyed by another's handler is simply gone.
+  int fired = 0;
+  Timer survivor(s, [&] { ++fired; });
+  auto victim = std::make_unique<Timer>(s, [&] { ++fired; });
+  Timer killer(s, [&] { victim.reset(); });
+  victim->arm(Time::sec(3));
+  killer.arm(Time::sec(1));
+  survivor.arm(Time::sec(1));
+  s.run();
+  survivor.arm(Time::sec(1));
+  s.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(victim, nullptr);
 }
 
 TEST(Timer, ExtendOnIdleTimerArms) {
