@@ -84,8 +84,8 @@ std::uint64_t Scheduler::next_emit_seq() {
 
 // --- SubQueue ---------------------------------------------------------------
 
-Scheduler::SubQueue::Source Scheduler::SubQueue::front(
-    const HeapEntry*& top) {
+Scheduler::SubQueue::Source Scheduler::SubQueue::front(const HeapEntry*& top,
+                                                       Time end) {
   Source from = Source::kNone;
   top = nullptr;
   if (!timers.empty()) {
@@ -97,9 +97,9 @@ Scheduler::SubQueue::Source Scheduler::SubQueue::front(
     top = &deliveries.front();
     from = Source::kDeliveries;
   }
-  // A lane run later than the best heap top loses whatever its order, so
-  // it is sorted only once it is due.
-  if (!lane.empty() &&
+  // A lane run later than the best heap top, or at or past `end`, loses
+  // whatever its order, so it is sorted only once it is due.
+  if (!lane.empty() && lane[lane_head].key.at < end &&
       (top == nullptr || !(top->key.at < lane[lane_head].key.at))) {
     const HeapEntry& first = lane_front();
     if (top == nullptr || first.key < top->key) {
@@ -171,29 +171,17 @@ void Scheduler::SubQueue::push(const EventKey& key, SchedFn&& fn, Domain exec,
   }
   const Time delay = key.at - key.ptime;
   if (lane_delay == Time::zero()) lane_delay = delay;
+  // The lane appends to its last run or starts a later one, but never joins
+  // a run front() has already sorted (a barrier drains cross-shard
+  // deliveries after the run was looked at): that one goes to the heap.
   if (delay == lane_delay && delay > Time::zero() &&
-      (lane.empty() || !(key.at < lane.back().key.at))) {
-    push_lane(HeapEntry{key, slot});
+      (lane.empty() || lane.back().key.at < key.at ||
+       (lane.back().key.at == key.at && lane_run_end != lane.size()))) {
+    lane.push_back(HeapEntry{key, slot});
     return;
   }
   deliveries.push_back(HeapEntry{key, slot});
   std::push_heap(deliveries.begin(), deliveries.end(), Later{});
-}
-
-void Scheduler::SubQueue::push_lane(const HeapEntry& entry) {
-  // Joining the front run after it was sorted (a barrier drained a
-  // same-instant delivery into a run already looked at): insert in order.
-  const bool into_sorted = lane_run_end > lane_head &&
-                           lane_run_end == lane.size() &&
-                           entry.key.at == lane.back().key.at;
-  lane.push_back(entry);
-  if (into_sorted) {
-    const auto first = lane.begin() + static_cast<std::ptrdiff_t>(lane_head);
-    const auto last = lane.end() - 1;
-    std::rotate(std::upper_bound(first, last, entry, Earlier{}), last,
-                lane.end());
-    ++lane_run_end;
-  }
 }
 
 std::uint32_t Scheduler::SubQueue::acquire_slot(SchedFn&& fn, TimerSlot* timer,
@@ -362,7 +350,7 @@ std::uint64_t Scheduler::run_shard_before(SubQueue& sub, int shard, Time end) {
   std::uint64_t n = 0;
   const HeapEntry* top;
   for (;;) {
-    const SubQueue::Source from = sub.front(top);
+    const SubQueue::Source from = sub.front(top, end);
     if (from == SubQueue::Source::kNone || top->key.at >= end) break;
     const HeapEntry entry = sub.pop(from);
     execute_entry(sub, shard, entry, n);

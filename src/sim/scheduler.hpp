@@ -13,15 +13,21 @@
 // the whole determinism story: a serial run and an 8-thread run execute the
 // same events in the same canonical order and are byte-identical.
 //
-// Each sub-queue keeps two binary heaps over one slot arena: one for Timer
-// expiries (the only cancellable events) and one for every other event
-// (link deliveries, plain schedule_at/schedule_in calls and the cross-shard
-// events merged at barriers). Nearly every executed event is a delivery,
-// and the deliveries in flight number hundreds where the long-lived timers
-// (210 s data timeouts, holdtimes, query timers) number thousands, so a
-// delivery sifts through the short heap. A pop takes whichever top is
-// smaller by the full canonical key; keys are unique, so that is exactly
-// the order a single heap would give.
+// Each sub-queue keeps three queues over one slot arena: a binary heap of
+// Timer expiries (the only cancellable events), a delivery lane, and a
+// binary heap of every other event. Nearly every executed event is a link
+// delivery, and a link delivery arrives one link delay after it is sent.
+// The lane takes a non-timer event whose delay (at - ptime) is the first
+// positive delay its sub-queue saw and whose `at` is not earlier than the
+// lane's last entry, so the lane is a FIFO of runs of equal `at`; a run is
+// sorted by the full key once, when it is due, and takes no entry after
+// that, so no delivery in it sifts through a heap. The rest (a second link
+// delay, plain schedule_at/schedule_in calls, cross-shard events a barrier
+// merges out of order or into a sorted run) go to the delivery heap, which
+// stays short beside the thousands of long-lived timers (210 s data
+// timeouts, holdtimes, query timers). A pop takes the least of the two heap
+// tops and the lane front by the full canonical key; keys are unique, so
+// that is exactly the order a single heap would give.
 //
 // Sharded execution (configure_shards) partitions domains into per-shard
 // sub-queues, each an independent indirect-heap scheduler over its own slot
@@ -30,10 +36,10 @@
 // window no cross-shard event can affect another shard, so shards run on
 // worker threads without synchronization. An event scheduled for a domain
 // on another shard (a packet crossing a cut link) is staged in a per-edge
-// outbox and merged into the target's delivery heap at the window barrier
-// (a staged Timer expiry is not cancellable) — its canonical key was fixed
-// at schedule time, so it lands exactly where a serial run would have put
-// it. Events executed by domain 0 are *structural*: they may mutate
+// outbox and merged into the target's lane or delivery heap at the window
+// barrier (a staged Timer expiry is not cancellable) — its canonical key
+// was fixed at schedule time, so it lands exactly where a serial run would
+// have put it. Events executed by domain 0 are *structural*: they may mutate
 // cross-shard state (move a host, crash a router, recompute routes), so the
 // controller runs them with every shard quiesced, interleaved with
 // same-instant shard events in canonical order.
@@ -189,8 +195,9 @@ class Scheduler {
   std::uint64_t structural_instants() const { return structural_instants_; }
 
   // --- Introspection -----------------------------------------------------
-  /// Entries in both heaps, including not-yet-reclaimed cancelled timers
-  /// (compaction keeps those below about the live timer count).
+  /// Entries in the heaps and the lane, including not-yet-reclaimed
+  /// cancelled timers (compaction keeps those below about the live timer
+  /// count).
   std::size_t pending_events() const;
   /// Entries scheduled and not yet executed or cancelled.
   std::size_t live_events() const;
@@ -248,12 +255,13 @@ class Scheduler {
     std::vector<HeapEntry> timers;
     std::vector<HeapEntry> deliveries;
     /// The delivery lane: non-timer events whose delay (at - ptime) is
-    /// `lane_delay` and whose `at` is not earlier than the lane's last
-    /// entry, in push order. `at` never decreases along it, so it is a FIFO
-    /// of runs of equal `at`; lane[lane_head, lane_run_end) is the rest of
-    /// the front run, sorted by key when it was first needed. The lane is
-    /// cleared whenever it empties and shifted down once its consumed head
-    /// is half of it, so its capacity follows the deliveries in flight.
+    /// `lane_delay`, in push order. A push joins the last run of equal `at`
+    /// unless front() has sorted that run, or starts a later one, so `at`
+    /// never decreases along the lane and it is a FIFO of runs;
+    /// lane[lane_head, lane_run_end) is the rest of the front run, sorted by
+    /// key when it was first due. The lane is cleared whenever it empties
+    /// and shifted down once its consumed head is half of it, so its
+    /// capacity follows the deliveries in flight.
     std::vector<HeapEntry> lane;
     std::size_t lane_head = 0;
     std::size_t lane_run_end = 0;
@@ -275,8 +283,9 @@ class Scheduler {
     }
     /// The least of the two heap tops and the lane front, or kNone when all
     /// three are empty; `top` points at it. Keys are unique, so popping it
-    /// gives the one-heap order.
-    Source front(const HeapEntry*& top);
+    /// gives the one-heap order. A lane front at or past `end` is left
+    /// unsorted and may be missed: the caller runs nothing from `end` on.
+    Source front(const HeapEntry*& top, Time end = Time::never());
     HeapEntry pop(Source from);
     /// Key of the earliest live entry, or at == never() when empty.
     EventKey min_key();
@@ -288,7 +297,6 @@ class Scheduler {
     void release_slot(std::uint32_t slot);
     void maybe_compact();
     static HeapEntry pop_top(std::vector<HeapEntry>& heap);
-    void push_lane(const HeapEntry& entry);
     /// The lane's earliest entry; sorts the front run on first use.
     const HeapEntry& lane_front();
   };

@@ -74,8 +74,8 @@ TEST(BarrierDifferential, ShardedSubQueuesMatchSingleQueueReference) {
 }
 
 // The same with link-shaped traffic (Mix::kLinks): each shard's delivery
-// lane also takes the cross-shard deliveries its barrier drains, and joins
-// a drained delivery to a run it has already sorted.
+// lane also takes the cross-shard deliveries its barrier drains, and sends
+// one that would join a run it has already sorted to the delivery heap.
 TEST(BarrierDifferential, DeliveryLaneShardsMatchSingleQueueReference) {
   using namespace difftest;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
@@ -107,6 +107,39 @@ TEST(BarrierDifferential, DeliveryLaneShardsMatchSingleQueueReference) {
     EXPECT_EQ(sched.live_events(), 0u);
     EXPECT_GT(log_stats(real.per_domain).multi_domain_runs, 50u);
   }
+}
+
+// A structural instant runs its events on one thread and asks every
+// sub-queue for its earliest entry between them, which sorts a lane run as
+// soon as it is that sub-queue's earliest. Here domain 2's own delivery
+// starts a run that is sorted before domain 1 and the world, later in the
+// same instant, send into it at the same link delay: theirs go to the
+// delivery heap, and domain 2 still receives all three in key order.
+TEST(BarrierDifferential, DeliveriesIntoASortedLaneRunPopInKeyOrder) {
+  Scheduler sched;
+  const Domain d1 = sched.add_domain();
+  const Domain d2 = sched.add_domain();
+  sched.configure_shards({kS, 0, 1}, 2, difftest::kLookahead);
+  const Time delay = difftest::kLinkDelay;
+  const Time t = Time::us(100);
+  std::vector<int> received;  // written only by domain 2's shard
+  // Sub-queue 1's first positive delay, and so its lane's, is `delay`.
+  sched.schedule_at(delay, [] {}, d2);
+  sched.schedule_at(t, [&] {
+    sched.schedule_in(delay, [&] { received.push_back(2); }, d2);
+  }, d2);
+  sched.schedule_at(t, [&] {
+    sched.schedule_in(delay, [&] { received.push_back(1); }, d2);
+  }, d1);
+  sched.schedule_at(t, [&] {
+    sched.schedule_in(delay, [&] { received.push_back(0); }, d2);
+  }, kWorldDomain);
+  sched.run_until(t + delay);
+  EXPECT_EQ(sched.structural_instants(), 1u);
+  // Keys at t + delay differ only in the sender's domain: 1, then 2, then
+  // the world, which sorts last.
+  EXPECT_EQ(received, (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(sched.live_events(), 0u);
 }
 
 // Three node domains tick on self-rearming timers and write counters:
