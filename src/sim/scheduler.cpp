@@ -172,8 +172,8 @@ void Scheduler::SubQueue::push(const EventKey& key, SchedFn&& fn, Domain exec,
   const Time delay = key.at - key.ptime;
   if (lane_delay == Time::zero()) lane_delay = delay;
   // The lane appends to its last run or starts a later one, but never joins
-  // a run front() has already sorted (a barrier drains cross-shard
-  // deliveries after the run was looked at): that one goes to the heap.
+  // a run front() has already sorted (a structural instant looks at every
+  // sub-queue between its events): that push goes to the heap.
   if (delay == lane_delay && delay > Time::zero() &&
       (lane.empty() || lane.back().key.at < key.at ||
        (lane.back().key.at == key.at && lane_run_end != lane.size()))) {

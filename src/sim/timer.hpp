@@ -51,8 +51,8 @@ class Timer {
   ~Timer() {
     // Destroyed by its own expiry handler: the handler keeps running from
     // the moved-out copy, which must not be moved back.
-    if (Firing::current != nullptr && Firing::current->timer == this) {
-      Firing::current->timer = nullptr;
+    for (Firing* f = Firing::current; f != nullptr; f = f->outer) {
+      if (f->timer == this) f->timer = nullptr;
     }
     cancel();
   }
@@ -121,7 +121,7 @@ class Timer {
   }
 
   /// The expiry handler this thread is running, moved out of its Timer.
-  /// Handlers run one at a time per thread; `outer` restores the previous
+  /// Handlers run one at a time per thread; `outer` chains the previous
   /// one should a handler ever run another scheduler's events.
   struct Firing {
     explicit Firing(Timer& t)

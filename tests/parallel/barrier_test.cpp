@@ -1,7 +1,8 @@
 // What a window barrier must leave behind, at two shards.
 //
-//  * The scheduler's sub-queues (a timer heap and a delivery heap each,
-//    cross-shard events staged in outboxes and merged at the barrier)
+//  * The scheduler's sub-queues (a timer heap, a delivery heap and a
+//    delivery lane each, cross-shard events staged in outboxes and merged
+//    at the barrier)
 //    execute every domain's events in the order of a single-queue
 //    reference, across migrations into and out of sharded mode.
 //  * A CounterRegistry written from worker shards reads the same as a
@@ -74,8 +75,8 @@ TEST(BarrierDifferential, ShardedSubQueuesMatchSingleQueueReference) {
 }
 
 // The same with link-shaped traffic (Mix::kLinks): each shard's delivery
-// lane also takes the cross-shard deliveries its barrier drains, and sends
-// one that would join a run it has already sorted to the delivery heap.
+// lane also takes the cross-shard deliveries its barrier drains, and the
+// lane entries migrate into delivery heaps at each re-shard.
 TEST(BarrierDifferential, DeliveryLaneShardsMatchSingleQueueReference) {
   using namespace difftest;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
