@@ -42,7 +42,7 @@ Scheduler::~Scheduler() {
   stop_workers();
   // Timers may outlive the scheduler: leave none pointing into it.
   for (auto& sub : subs_) {
-    for (const HeapEntry& entry : sub->timers) {
+    for (const HeapEntry& entry : sub->heap) {
       if (TimerSlot* timer = sub->slots[entry.slot].timer) *timer = {};
     }
   }
@@ -88,17 +88,12 @@ Scheduler::SubQueue::Source Scheduler::SubQueue::front(const HeapEntry*& top,
                                                        Time end) {
   Source from = Source::kNone;
   top = nullptr;
-  if (!timers.empty()) {
-    top = &timers.front();
-    from = Source::kTimers;
+  if (!heap.empty()) {
+    top = &heap.front();
+    from = Source::kHeap;
   }
-  if (!deliveries.empty() &&
-      (top == nullptr || deliveries.front().key < top->key)) {
-    top = &deliveries.front();
-    from = Source::kDeliveries;
-  }
-  // A lane run later than the best heap top, or at or past `end`, loses
-  // whatever its order, so it is sorted only once it is due.
+  // A lane run later than the heap top, or at or past `end`, loses whatever
+  // its order, so it is sorted only once it is due.
   if (!lane.empty() && lane[lane_head].key.at < end &&
       (top == nullptr || !(top->key.at < lane[lane_head].key.at))) {
     const HeapEntry& first = lane_front();
@@ -122,8 +117,7 @@ const Scheduler::HeapEntry& Scheduler::SubQueue::lane_front() {
   return lane[lane_head];
 }
 
-Scheduler::HeapEntry Scheduler::SubQueue::pop_top(
-    std::vector<HeapEntry>& heap) {
+Scheduler::HeapEntry Scheduler::SubQueue::pop_top() {
   std::pop_heap(heap.begin(), heap.end(), Later{});
   const HeapEntry entry = heap.back();
   heap.pop_back();
@@ -131,8 +125,7 @@ Scheduler::HeapEntry Scheduler::SubQueue::pop_top(
 }
 
 Scheduler::HeapEntry Scheduler::SubQueue::pop(Source from) {
-  if (from == Source::kTimers) return pop_top(timers);
-  if (from == Source::kDeliveries) return pop_top(deliveries);
+  if (from == Source::kHeap) return pop_top();
   const HeapEntry entry = lane[lane_head++];
   if (lane_head == lane.size()) {
     lane.clear();
@@ -148,10 +141,10 @@ Scheduler::HeapEntry Scheduler::SubQueue::pop(Source from) {
 
 EventKey Scheduler::SubQueue::min_key() {
   // Shed cancelled timers from the top so the controller's window planning
-  // never keys off a dead event. Deliveries are never cancelled.
-  while (!timers.empty() && slots[timers.front().slot].cancelled) {
+  // never keys off a dead event. Lane entries are never cancelled.
+  while (!heap.empty() && slots[heap.front().slot].cancelled) {
     --cancelled;
-    release_slot(pop_top(timers).slot);
+    release_slot(pop_top().slot);
   }
   const HeapEntry* top;
   if (front(top) == Source::kNone) {
@@ -163,25 +156,33 @@ EventKey Scheduler::SubQueue::min_key() {
 void Scheduler::SubQueue::push(const EventKey& key, SchedFn&& fn, Domain exec,
                                TimerSlot* timer) {
   const std::uint32_t slot = acquire_slot(std::move(fn), timer, exec);
-  if (timer != nullptr) {
-    timers.push_back(HeapEntry{key, slot});
-    std::push_heap(timers.begin(), timers.end(), Later{});
-    *timer = TimerSlot{this, slot};
-    return;
-  }
-  const Time delay = key.at - key.ptime;
-  if (lane_delay == Time::zero()) lane_delay = delay;
-  // The lane appends to its last run or starts a later one, but never joins
-  // a run front() has already sorted (a structural instant looks at every
-  // sub-queue between its events): that push goes to the heap.
-  if (delay == lane_delay && delay > Time::zero() &&
-      (lane.empty() || lane.back().key.at < key.at ||
-       (lane.back().key.at == key.at && lane_run_end != lane.size()))) {
+  if (timer == nullptr && lane_takes(key)) {
     lane.push_back(HeapEntry{key, slot});
     return;
   }
-  deliveries.push_back(HeapEntry{key, slot});
-  std::push_heap(deliveries.begin(), deliveries.end(), Later{});
+  heap.push_back(HeapEntry{key, slot});
+  std::push_heap(heap.begin(), heap.end(), Later{});
+  if (timer != nullptr) *timer = TimerSlot{this, slot};
+}
+
+bool Scheduler::SubQueue::lane_takes(const EventKey& key) {
+  const Time delay = key.at - key.ptime;
+  if (delay <= Time::zero()) return false;
+  if (lane_delay == Time::zero() || delay < lane_delay) {
+    heap.insert(heap.end(),
+                lane.begin() + static_cast<std::ptrdiff_t>(lane_head),
+                lane.end());
+    std::make_heap(heap.begin(), heap.end(), Later{});
+    lane.clear();
+    lane_head = lane_run_end = 0;
+    lane_delay = delay;
+  }
+  // The lane appends to its last run or starts a later one, but never joins
+  // a run front() has already sorted (a structural instant looks at every
+  // sub-queue between its events): that push goes to the heap.
+  return delay == lane_delay &&
+         (lane.empty() || lane.back().key.at < key.at ||
+          (lane.back().key.at == key.at && lane_run_end != lane.size()));
 }
 
 std::uint32_t Scheduler::SubQueue::acquire_slot(SchedFn&& fn, TimerSlot* timer,
@@ -206,21 +207,21 @@ void Scheduler::SubQueue::release_slot(std::uint32_t slot) {
 }
 
 void Scheduler::SubQueue::maybe_compact() {
-  if (cancelled < Scheduler::kCompactMin || cancelled * 2 < timers.size()) {
+  if (cancelled < Scheduler::kCompactMin || cancelled * 2 < heap.size()) {
     return;
   }
   std::size_t keep = 0;
-  for (std::size_t i = 0; i < timers.size(); ++i) {
-    if (slots[timers[i].slot].cancelled) {
-      release_slot(timers[i].slot);
+  for (std::size_t i = 0; i < heap.size(); ++i) {
+    if (slots[heap[i].slot].cancelled) {
+      release_slot(heap[i].slot);
       continue;
     }
-    timers[keep] = timers[i];
+    heap[keep] = heap[i];
     ++keep;
   }
-  timers.resize(keep);
+  heap.resize(keep);
   cancelled = 0;
-  std::make_heap(timers.begin(), timers.end(), Later{});
+  std::make_heap(heap.begin(), heap.end(), Later{});
   ++compactions;
 }
 
@@ -495,32 +496,26 @@ void Scheduler::migrate_all_to(const std::vector<std::uint32_t>& new_map,
   for (auto& old : subs_) {
     executed += old->executed;
     compactions += old->compactions;
-    // Lane entries land in the delivery heap of their new sub-queue.
-    old->deliveries.insert(
-        old->deliveries.end(),
+    // Lane entries land in the heap of their new sub-queue.
+    old->heap.insert(
+        old->heap.end(),
         old->lane.begin() + static_cast<std::ptrdiff_t>(old->lane_head),
         old->lane.end());
-    for (const auto* heap : {&old->timers, &old->deliveries}) {
-      for (const HeapEntry& entry : *heap) {
-        Event& ev = old->slots[entry.slot];
-        if (ev.cancelled) continue;  // dead: drop instead of migrating
-        const std::uint32_t dst =
-            ev.exec < new_map.size() ? new_map[ev.exec] : new_count;
-        SubQueue& target = *fresh[dst];
-        const std::uint32_t slot =
-            target.acquire_slot(std::move(ev.fn), ev.timer, ev.exec);
-        if (ev.timer != nullptr) {
-          target.timers.push_back(HeapEntry{entry.key, slot});
-          *ev.timer = TimerSlot{&target, slot};  // the Timer follows its event
-        } else {
-          target.deliveries.push_back(HeapEntry{entry.key, slot});
-        }
-      }
+    for (const HeapEntry& entry : old->heap) {
+      Event& ev = old->slots[entry.slot];
+      if (ev.cancelled) continue;  // dead: drop instead of migrating
+      const std::uint32_t dst =
+          ev.exec < new_map.size() ? new_map[ev.exec] : new_count;
+      SubQueue& target = *fresh[dst];
+      const std::uint32_t slot =
+          target.acquire_slot(std::move(ev.fn), ev.timer, ev.exec);
+      target.heap.push_back(HeapEntry{entry.key, slot});
+      // The Timer follows its event.
+      if (ev.timer != nullptr) *ev.timer = TimerSlot{&target, slot};
     }
   }
   for (auto& sub : fresh) {
-    std::make_heap(sub->timers.begin(), sub->timers.end(), Later{});
-    std::make_heap(sub->deliveries.begin(), sub->deliveries.end(), Later{});
+    std::make_heap(sub->heap.begin(), sub->heap.end(), Later{});
   }
   fresh[0]->executed = executed;
   fresh[0]->compactions = compactions;
@@ -622,6 +617,12 @@ void Scheduler::worker_main(std::uint32_t shard) {
 std::size_t Scheduler::pending_events() const {
   std::size_t n = 0;
   for (auto& sub : subs_) n += sub->size();
+  return n;
+}
+
+std::size_t Scheduler::lane_events() const {
+  std::size_t n = 0;
+  for (auto& sub : subs_) n += sub->lane_size();
   return n;
 }
 

@@ -13,21 +13,25 @@
 // the whole determinism story: a serial run and an 8-thread run execute the
 // same events in the same canonical order and are byte-identical.
 //
-// Each sub-queue keeps three queues over one slot arena: a binary heap of
-// Timer expiries (the only cancellable events), a delivery lane, and a
-// binary heap of every other event. Nearly every executed event is a link
-// delivery, and a link delivery arrives one link delay after it is sent.
-// The lane takes a non-timer event whose delay (at - ptime) is the first
-// positive delay its sub-queue saw and whose `at` is not earlier than the
-// lane's last entry, so the lane is a FIFO of runs of equal `at`; a run is
-// sorted by the full key once, when it is due, and takes no entry after
-// that, so no delivery in it sifts through a heap. The rest (a second link
-// delay, plain schedule_at/schedule_in calls, cross-shard events a barrier
-// merges out of order or into a sorted run) go to the delivery heap, which
-// stays short beside the thousands of long-lived timers (210 s data
-// timeouts, holdtimes, query timers). A pop takes the least of the two heap
-// tops and the lane front by the full canonical key; keys are unique, so
-// that is exactly the order a single heap would give.
+// Each sub-queue keeps a binary heap and a delivery lane over one slot
+// arena. Nearly every executed event is a link delivery, and a link
+// delivery arrives one link delay after it is sent. The lane takes a
+// non-timer event whose delay (at - ptime) is the smallest positive delay
+// its sub-queue has seen and whose `at` is not earlier than the lane's last
+// entry, so the lane is a FIFO of runs of equal `at`; a run is sorted by
+// the full key once, when it is due, and takes no entry after that, so no
+// delivery in it sifts through a heap. A smaller delay moves the lane's
+// entries into the heap and becomes the lane's, so whatever a sub-queue
+// sees first (a setup-time schedule_at seconds ahead, say), the lane ends
+// up on the smallest link delay. It helps only traffic whose deliveries
+// share that exact delay: links with no bit rate (whose serialization time
+// would vary with the frame size), no jitter and one propagation delay, as
+// on every benchmark workload. The heap holds every Timer expiry (the only
+// cancellable events) and the rest: other delays, plain
+// schedule_at/schedule_in calls, cross-shard events a barrier merges out of
+// order or into a sorted run. A pop takes the lesser of the heap top and
+// the lane front by the full canonical key; keys are unique, so that is
+// exactly the order a single heap would give.
 //
 // Sharded execution (configure_shards) partitions domains into per-shard
 // sub-queues, each an independent indirect-heap scheduler over its own slot
@@ -36,7 +40,7 @@
 // window no cross-shard event can affect another shard, so shards run on
 // worker threads without synchronization. An event scheduled for a domain
 // on another shard (a packet crossing a cut link) is staged in a per-edge
-// outbox and merged into the target's lane or delivery heap at the window
+// outbox and merged into the target's lane or heap at the window
 // barrier (a staged Timer expiry is not cancellable) — its canonical key
 // was fixed at schedule time, so it lands exactly where a serial run would
 // have put it. Events executed by domain 0 are *structural*: they may mutate
@@ -48,8 +52,8 @@
 //
 // Cancellation is O(1): a Timer holds a TimerSlot naming the sub-queue and
 // arena slot of its queued expiry, and cancel() flags that slot. Cancelled
-// expiries (only ever in a timer heap) are skipped when they surface at its
-// top AND reclaimed in bulk by threshold-based compaction. The scheduler
+// expiries (only ever in a heap) are skipped when they surface at its top
+// AND reclaimed in bulk by threshold-based compaction. The scheduler
 // keeps every TimerSlot current: it fills it when it queues the expiry,
 // rewrites it when resharding moves the event, and empties it when the
 // expiry runs or is cancelled and when the scheduler is destroyed, so a
@@ -195,10 +199,13 @@ class Scheduler {
   std::uint64_t structural_instants() const { return structural_instants_; }
 
   // --- Introspection -----------------------------------------------------
-  /// Entries in the heaps and the lane, including not-yet-reclaimed
-  /// cancelled timers (compaction keeps those below about the live timer
-  /// count).
+  /// Entries in the heaps and the lanes, including not-yet-reclaimed
+  /// cancelled timers (compaction keeps those below about the live heap
+  /// entries).
   std::size_t pending_events() const;
+  /// Entries in the delivery lanes (the rest of pending_events() are in
+  /// the heaps).
+  std::size_t lane_events() const;
   /// Entries scheduled and not yet executed or cancelled.
   std::size_t live_events() const;
   /// Cancelled entries still occupying heap slots.
@@ -207,8 +214,8 @@ class Scheduler {
   /// Times a heap was rebuilt to shed cancelled entries.
   std::uint64_t compactions() const;
 
-  /// Cancelled count at or above which a sub-queue's timer heap is
-  /// compacted, once the cancelled entries are also half of that heap.
+  /// Cancelled count at or above which a sub-queue's heap is compacted,
+  /// once the cancelled entries are also half of that heap.
   static constexpr std::size_t kCompactMin = 64;
 
  private:
@@ -247,13 +254,12 @@ class Scheduler {
 
   struct SubQueue {
     /// Where the earliest entry sits; see front().
-    enum class Source : std::uint8_t { kNone, kTimers, kDeliveries, kLane };
+    enum class Source : std::uint8_t { kNone, kHeap, kLane };
 
-    /// Binary heaps ordered by Later, both over `slots`: Timer expiries,
-    /// and the other events the lane does not take. Only `timers` can hold
-    /// cancelled entries.
-    std::vector<HeapEntry> timers;
-    std::vector<HeapEntry> deliveries;
+    /// Binary heap ordered by Later over `slots`: every Timer expiry and
+    /// every other event the lane does not take. Only timers are ever
+    /// cancelled.
+    std::vector<HeapEntry> heap;
     /// The delivery lane: non-timer events whose delay (at - ptime) is
     /// `lane_delay`, in push order. A push joins the last run of equal `at`
     /// unless front() has sorted that run, or starts a later one, so `at`
@@ -265,11 +271,12 @@ class Scheduler {
     std::vector<HeapEntry> lane;
     std::size_t lane_head = 0;
     std::size_t lane_run_end = 0;
-    /// The first positive delay a non-timer push had (zero until then).
+    /// The smallest positive delay a non-timer push has had (zero until
+    /// the first).
     Time lane_delay = Time::zero();
     std::vector<Event> slots;
     std::vector<std::uint32_t> free_slots;
-    /// Cancelled entries still in `timers`.
+    /// Cancelled entries still in `heap`.
     std::uint64_t cancelled = 0;
     /// One outbox per target shard (staged cross-shard events).
     std::vector<std::vector<Staged>> outbox;
@@ -278,25 +285,28 @@ class Scheduler {
     std::uint64_t compactions = 0;
     std::uint64_t emit_seq = 0;
 
-    std::size_t size() const {
-      return timers.size() + deliveries.size() + (lane.size() - lane_head);
-    }
-    /// The least of the two heap tops and the lane front, or kNone when all
-    /// three are empty; `top` points at it. Keys are unique, so popping it
-    /// gives the one-heap order. A lane front at or past `end` is left
-    /// unsorted and may be missed: the caller runs nothing from `end` on.
+    std::size_t size() const { return heap.size() + lane_size(); }
+    std::size_t lane_size() const { return lane.size() - lane_head; }
+    /// The lesser of the heap top and the lane front, or kNone when both
+    /// are empty; `top` points at it. Keys are unique, so popping it gives
+    /// the one-heap order. A lane front at or past `end` is left unsorted
+    /// and may be missed: the caller runs nothing from `end` on.
     Source front(const HeapEntry*& top, Time end = Time::never());
     HeapEntry pop(Source from);
     /// Key of the earliest live entry, or at == never() when empty.
     EventKey min_key();
-    /// Queues an event; a `timer` puts it in the timer heap and records
-    /// its place there.
+    /// Queues an event; a `timer` puts it in the heap and records its
+    /// place there.
     void push(const EventKey& key, SchedFn&& fn, Domain exec,
               TimerSlot* timer);
+    /// Whether a non-timer event keyed `key` joins the lane. A positive
+    /// delay smaller than the lane's moves the lane's entries into the heap
+    /// and becomes the lane's delay.
+    bool lane_takes(const EventKey& key);
     std::uint32_t acquire_slot(SchedFn&& fn, TimerSlot* timer, Domain exec);
     void release_slot(std::uint32_t slot);
     void maybe_compact();
-    static HeapEntry pop_top(std::vector<HeapEntry>& heap);
+    HeapEntry pop_top();
     /// The lane's earliest entry; sorts the front run on first use.
     const HeapEntry& lane_front();
   };

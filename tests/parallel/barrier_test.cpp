@@ -1,8 +1,7 @@
 // What a window barrier must leave behind, at two shards.
 //
-//  * The scheduler's sub-queues (a timer heap, a delivery heap and a
-//    delivery lane each, cross-shard events staged in outboxes and merged
-//    at the barrier)
+//  * The scheduler's sub-queues (a heap and a delivery lane each,
+//    cross-shard events staged in outboxes and merged at the barrier)
 //    execute every domain's events in the order of a single-queue
 //    reference, across migrations into and out of sharded mode.
 //  * A CounterRegistry written from worker shards reads the same as a
@@ -76,7 +75,7 @@ TEST(BarrierDifferential, ShardedSubQueuesMatchSingleQueueReference) {
 
 // The same with link-shaped traffic (Mix::kLinks): each shard's delivery
 // lane also takes the cross-shard deliveries its barrier drains, and the
-// lane entries migrate into delivery heaps at each re-shard.
+// lane entries migrate into heaps at each re-shard.
 TEST(BarrierDifferential, DeliveryLaneShardsMatchSingleQueueReference) {
   using namespace difftest;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
@@ -115,7 +114,7 @@ TEST(BarrierDifferential, DeliveryLaneShardsMatchSingleQueueReference) {
 // soon as it is that sub-queue's earliest. Here domain 2's own delivery
 // starts a run that is sorted before domain 1 and the world, later in the
 // same instant, send into it at the same link delay: theirs go to the
-// delivery heap, and domain 2 still receives all three in key order.
+// heap, and domain 2 still receives all three in key order.
 TEST(BarrierDifferential, DeliveriesIntoASortedLaneRunPopInKeyOrder) {
   Scheduler sched;
   const Domain d1 = sched.add_domain();
@@ -124,7 +123,7 @@ TEST(BarrierDifferential, DeliveriesIntoASortedLaneRunPopInKeyOrder) {
   const Time delay = difftest::kLinkDelay;
   const Time t = Time::us(100);
   std::vector<int> received;  // written only by domain 2's shard
-  // Sub-queue 1's first positive delay, and so its lane's, is `delay`.
+  // Sub-queue 1's smallest positive delay, and so its lane's, is `delay`.
   sched.schedule_at(delay, [] {}, d2);
   sched.schedule_at(t, [&] {
     sched.schedule_in(delay, [&] { received.push_back(2); }, d2);

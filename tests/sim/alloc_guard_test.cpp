@@ -193,11 +193,12 @@ TEST(AllocGuard, LargeCaptureExpiriesDoNotAllocate) {
   EXPECT_EQ(sum, 5u * 1016u);
 }
 
-// Frames forwarded hop by hop: every hop re-sends 100 us later from its own
-// domain, so one instant's sends form one run of the delivery lane, and the
-// lane never empties. A second, 37 us delay keeps the delivery heap busy
-// beside it. Once the lane and heaps have grown to the frames in flight,
-// nothing allocates.
+// Frames forwarded hop by hop: every hop re-sends one delay later from its
+// own domain, so one instant's sends form one run of the delivery lane, and
+// the lane never empties. Two delays keep both busy: the lane takes the
+// smaller, 37 us, and the 100 us hops sift through the heap beside it. Once
+// the lane and the heap have grown to the frames in flight, nothing
+// allocates.
 TEST(AllocGuard, DeliveryLaneSteadyStateDoesNotAllocate) {
   struct Relay {
     Scheduler sched;

@@ -1,4 +1,5 @@
-// Differential workload for the scheduler's two-heap sub-queues.
+// Differential workload for the scheduler's sub-queues (a heap and a
+// delivery lane each).
 //
 // One seeded random program — schedule_at/schedule_in events, Timer arms,
 // extends and cancels, and many same-instant ties — runs over the world
@@ -14,8 +15,10 @@
 // Mix::kLinks shapes the deliveries like link traffic, for the delivery
 // lane: most go kLinkDelay ahead (so chains from many domains land on one
 // instant and form multi-domain runs), some kLinkDelay2 ahead (a second
-// delay, which the lane refuses), some jittered, and some with zero delay
-// into the instant being consumed; a burst action sends several at once.
+// delay, which the lane refuses once it has seen kLinkDelay), some
+// jittered, and some with zero delay into the instant being consumed; a
+// burst action sends several at once. The lane settles on kLinkDelay,
+// whichever delay the program sends first.
 #pragma once
 
 #include <algorithm>
@@ -233,6 +236,17 @@ class Program {
       for (int i = 0; i < 3; ++i) {
         const Time delay = Time::us(static_cast<std::int64_t>(
             rng.uniform_int(kMaxDelayUs)));
+        if (mix_ == Mix::kLinks) {
+          // The same two events as one-shot timers, keyed alike: expiries
+          // never enter the lane, so it learns its delay from the
+          // link-shaped traffic alone.
+          for (int k = 0; k < 2; ++k) {
+            seeds_.push_back(
+                std::make_unique<TimerT>(sched_, [this, d] { fire(d); }, d));
+            seeds_.back()->arm(delay);
+          }
+          continue;
+        }
         sched_.schedule_in(delay, [this, d] { fire(d); }, d);
         sched_.schedule_at(sched_.now() + delay, [this, d] { fire(d); }, d);
       }
@@ -359,6 +373,7 @@ class Program {
   bool global_log_;
   Mix mix_;
   std::vector<Lp> lps_;
+  std::vector<std::unique_ptr<TimerT>> seeds_;  // Mix::kLinks seed events
 };
 
 /// Shape of an executed log, so a test can show its program exercised the

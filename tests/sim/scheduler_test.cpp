@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -93,8 +94,8 @@ TEST(Scheduler, ExecutedEventsCounterAccumulates) {
 // time surfaced at the top, so the re-arm pattern (arm far-future, cancel,
 // repeat) grew the heap without bound. Compaction must keep the heap
 // proportional to the LIVE event count. The bound holds with deliveries in
-// flight too: they sit in their own heap, so they neither dilute the timer
-// heap's cancelled share nor delay its compaction.
+// flight too: deliveries of one delay sit in the lane, so they neither
+// dilute the heap's cancelled share nor delay its compaction.
 TEST(Scheduler, TenThousandCancelsKeepQueueBounded) {
   for (std::size_t in_flight : {0u, 1000u}) {
     SCOPED_TRACE("deliveries in flight: " + std::to_string(in_flight));
@@ -217,8 +218,9 @@ std::vector<std::pair<Time, int>> run_event_tree(bool timers) {
   return log;
 }
 
-// Plain events and timer expiries sit in different heaps; the pops must
-// still follow the canonical key, exactly as with plain events alone.
+// Plain events sit in the lane or the heap, timer expiries in the heap; the
+// pops must still follow the canonical key, exactly as with plain events
+// alone.
 TEST(Scheduler, PostedEventsKeepTheCanonicalOrder) {
   const auto plain = run_event_tree(false);
   const auto with_timers = run_event_tree(true);
@@ -244,6 +246,52 @@ TEST(Scheduler, PostedEventsAreNeverCancelled) {
   EXPECT_EQ(s.cancelled_events(), 0u);
   EXPECT_THROW(s.schedule_in(Time::zero() - Time::sec(1), [] {}, d),
                LogicError);
+}
+
+// The lane takes the smallest positive delay its sub-queue has seen, not
+// the first: an event 5 s ahead pushed at setup, then link sends 37 us
+// ahead, then, from inside the sorted run those sends form, sends 10 us
+// ahead. Each smaller delay moves the lane's entries into the heap and
+// takes the lane over, and every event still runs in key order.
+TEST(Scheduler, LaneTakesTheSmallestPositiveDelay) {
+  Scheduler s;
+  std::vector<Domain> d;
+  for (int i = 0; i < 3; ++i) d.push_back(s.add_domain());
+  std::vector<std::string> order;
+  s.schedule_at(Time::sec(5), [&order] { order.push_back("late"); });
+  EXPECT_EQ(s.lane_events(), 1u);
+  // Timer expiries never enter the lane, so only the sends move it.
+  std::vector<std::unique_ptr<Timer>> kicks;
+  for (int i = 0; i < 3; ++i) {
+    const Domain to = d[(i + 1) % 3];
+    const std::string tag = std::to_string(i);
+    kicks.push_back(std::make_unique<Timer>(
+        s,
+        [&s, &order, to, tag] {
+          s.schedule_in(
+              Time::us(37),
+              [&s, &order, tag] {
+                order.push_back("37/" + tag);
+                s.schedule_in(Time::us(10),
+                              [&order, tag] { order.push_back("10/" + tag); });
+              },
+              to);
+        },
+        d[i]));
+    kicks.back()->arm(Time::us(1));
+  }
+  s.run_until(Time::us(1));
+  EXPECT_EQ(s.lane_events(), 3u);  // one run at 38 us; the 5 s event left
+  EXPECT_EQ(s.pending_events(), 4u);
+  s.run_until(Time::us(38));
+  EXPECT_EQ(s.lane_events(), 3u);  // one run at 48 us
+  EXPECT_EQ(s.pending_events(), 4u);
+  s.run();
+  // At 38 us the senders' domains order the run; at 48 us the domains the
+  // 37 us sends ran in (d[1], d[2], d[0]) do.
+  EXPECT_EQ(order, (std::vector<std::string>{"37/0", "37/1", "37/2", "10/2",
+                                             "10/0", "10/1", "late"}));
+  EXPECT_EQ(s.lane_events(), 0u);
 }
 
 // Differential against a single-queue reference (scheduler_differential.hpp):
@@ -310,7 +358,7 @@ TEST(SchedulerDifferential, DeliveryLanePopsInSingleQueueOrder) {
 }
 
 // Serial, then two shards, then serial again, in the middle of a run: the
-// lane's entries migrate into the new sub-queues' delivery heaps and back.
+// lane's entries migrate into the new sub-queues' heaps and back.
 TEST(SchedulerDifferential, SerialShardedSerialMigrationMidRun) {
   using namespace difftest;
   constexpr std::uint32_t kS = Scheduler::kStructuralShard;
