@@ -1,40 +1,21 @@
 #include "util/checksum.hpp"
 
-#include <bit>
-#include <cstring>
-
 namespace mip6 {
 
-// Sums 8-octet big-endian words as two 32-bit halves into a local
-// accumulator (the octets may alias a member, which would force a store and
-// reload per step). 2^16 is 1 modulo 0xffff, so this is the byte-pair sum
-// modulo 0xffff, and finish() folds both to the same checksum.
 void InternetChecksum::add(BytesView bytes) {
-  const std::uint8_t* p = bytes.data();
-  std::size_t n = bytes.size();
-  std::uint64_t sum = sum_;
-  if (odd_ && n != 0) {
-    sum += (static_cast<std::uint64_t>(pending_) << 8) | p[0];
+  std::size_t i = 0;
+  if (odd_ && !bytes.empty()) {
+    sum_ += (static_cast<std::uint16_t>(pending_) << 8) | bytes[0];
     odd_ = false;
-    ++p;
-    --n;
+    i = 1;
   }
-  for (; n >= 8; p += 8, n -= 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p, sizeof w);
-    if constexpr (std::endian::native == std::endian::little) {
-      w = __builtin_bswap64(w);
-    }
-    sum += (w >> 32) + (w & 0xffff'ffffULL);
+  for (; i + 1 < bytes.size(); i += 2) {
+    sum_ += (static_cast<std::uint16_t>(bytes[i]) << 8) | bytes[i + 1];
   }
-  for (; n >= 2; p += 2, n -= 2) {
-    sum += (static_cast<std::uint64_t>(p[0]) << 8) | p[1];
-  }
-  if (n != 0) {
+  if (i < bytes.size()) {
     odd_ = true;
-    pending_ = *p;
+    pending_ = bytes[i];
   }
-  sum_ = sum;
 }
 
 void InternetChecksum::add_u16(std::uint16_t v) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "sim/rng.hpp"
 
 namespace mip6 {
@@ -129,59 +127,6 @@ TEST(InternetChecksum, EmptyAndAllZeroInputs) {
   inc.add(BytesView(zeros).subspan(0, 3));
   inc.add(BytesView(zeros).subspan(3));
   EXPECT_EQ(inc.finish(), 0xffff);
-}
-
-// RFC 1071 over the concatenated octets, one big-endian octet pair at a
-// time: the summation InternetChecksum::add did before it took 8-octet
-// words.
-std::uint16_t byte_pair_reference(const Bytes& data) {
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < data.size(); i += 2) {
-    const std::uint16_t lo = i + 1 < data.size() ? data[i + 1] : 0;
-    sum += (static_cast<std::uint16_t>(data[i]) << 8) | lo;
-  }
-  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
-  return static_cast<std::uint16_t>(~sum & 0xffff);
-}
-
-TEST(InternetChecksum, WordSumMatchesBytePairReference) {
-  Rng rng(1071);
-  for (int round = 0; round < 3000; ++round) {
-    const std::size_t len = rng.uniform_int(1501);
-    Bytes data(len);
-    // Random octets, all-0xff runs (sums that fold to 0xffff) and zeros.
-    const std::uint64_t style = rng.uniform_int(4);
-    for (auto& o : data) {
-      o = style == 0   ? 0xff
-          : style == 1 ? (rng.bernoulli(0.9) ? 0xff : 0x00)
-                       : static_cast<std::uint8_t>(rng.next_u64());
-    }
-    // Feed the same octets through random add / add_u16 / add_u32 pieces.
-    InternetChecksum inc;
-    std::size_t at = 0;
-    while (at < len) {
-      const std::size_t left = len - at;
-      const std::uint64_t how = rng.uniform_int(6);
-      if (how == 0 && left >= 2) {
-        inc.add_u16(static_cast<std::uint16_t>((data[at] << 8) | data[at + 1]));
-        at += 2;
-      } else if (how == 1 && left >= 4) {
-        inc.add_u32((static_cast<std::uint32_t>(data[at]) << 24) |
-                    (static_cast<std::uint32_t>(data[at + 1]) << 16) |
-                    (static_cast<std::uint32_t>(data[at + 2]) << 8) |
-                    data[at + 3]);
-        at += 4;
-      } else {
-        const std::size_t n = std::min<std::size_t>(
-            left, how == 2 ? 1 + rng.uniform_int(9) : rng.uniform_int(left + 1));
-        inc.add(BytesView(data).subspan(at, n));
-        at += n;
-      }
-    }
-    const std::uint16_t want = byte_pair_reference(data);
-    ASSERT_EQ(inc.finish(), want) << "round " << round << " len " << len;
-    ASSERT_EQ(internet_checksum(data), want) << "round " << round;
-  }
 }
 
 }  // namespace
