@@ -169,6 +169,8 @@ bool Scheduler::SubQueue::lane_takes(const EventKey& key) {
   const Time delay = key.at - key.ptime;
   if (delay <= Time::zero()) return false;
   if (lane_delay == Time::zero() || delay < lane_delay) {
+    // A smaller delay takes the lane over; the entries it held go to the
+    // heap.
     heap.insert(heap.end(),
                 lane.begin() + static_cast<std::ptrdiff_t>(lane_head),
                 lane.end());

@@ -25,13 +25,16 @@
 // sees first (a setup-time schedule_at seconds ahead, say), the lane ends
 // up on the smallest link delay. It helps only traffic whose deliveries
 // share that exact delay: links with no bit rate (whose serialization time
-// would vary with the frame size), no jitter and one propagation delay, as
-// on every benchmark workload. The heap holds every Timer expiry (the only
-// cancellable events) and the rest: other delays, plain
-// schedule_at/schedule_in calls, cross-shard events a barrier merges out of
-// order or into a sorted run. A pop takes the lesser of the heap top and
-// the lane front by the full canonical key; keys are unique, so that is
-// exactly the order a single heap would give.
+// would vary with the frame size), no jitter and one propagation delay.
+// Every benchmark workload is such traffic: the lane takes 100 %, 99.96 %
+// and 99.97 % of the non-timer pushes of flood-1k, roam-tunnel and
+// churn-par (seed 7, docs/PERF.md rule 1). The heap holds every Timer
+// expiry (the only cancellable events) and the rest: other delays, plain
+// schedule_at/schedule_in calls, cross-shard events a barrier merges out
+// of order or into a sorted run. Deliveries of varying delay therefore
+// sift through the timers, as with a single heap. A pop takes the lesser
+// of the heap top and the lane front by the full canonical key; keys are
+// unique, so that is exactly the order a single heap would give.
 //
 // Sharded execution (configure_shards) partitions domains into per-shard
 // sub-queues, each an independent indirect-heap scheduler over its own slot
